@@ -7,12 +7,11 @@
 //   4. Evaluate greedily and print the paper's four metrics.
 //
 // Run:  ./quickstart [--skill-episodes N] [--episodes N] [--seed S]
-//                    [--num-workers N] [--num-envs E]
+//                    [--num-workers N]
 //
-// `--num-workers N` collects stage-2 episodes on N worker threads (and
-// trains the stage-1 skills on the same pool). Results are keyed to
-// (seed, num_envs) and invariant to the worker count; the default of 1
-// keeps the single-threaded code path (docs/PARALLELISM.md).
+// `--num-workers N` trains the stage-1 skills as N-wide pool tasks; stage 2
+// collects one episode at a time and is keyed to the seed alone
+// (docs/PARALLELISM.md).
 #include <algorithm>
 #include <cstdio>
 
@@ -29,14 +28,12 @@ int main(int argc, char** argv) {
   const int eval_episodes = flags.get_int("eval-episodes", 50);
   const unsigned seed = static_cast<unsigned>(flags.get_int("seed", 1));
   const int num_workers = flags.get_int("num-workers", 1);
-  const int num_envs = flags.get_int("num-envs", 0);
   flags.check_unknown();
 
   hero::Rng rng(seed);
   hero::sim::Scenario scenario = hero::sim::cooperative_lane_change();
   hero::core::HeroConfig cfg;
   cfg.num_workers = std::max(1, num_workers);
-  cfg.num_envs = std::max(0, num_envs);
 
   std::printf("== Stage 1: low-level skills (%d episodes each) ==\n", skill_episodes);
   hero::core::HeroTrainer trainer(scenario, cfg, rng);

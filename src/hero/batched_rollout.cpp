@@ -52,9 +52,9 @@ void BatchedRollout::begin_lane(std::size_t lane) {
     la.exec = OptionExecution{};
     la.has_pending = false;
     la.opp_cache.clear();
-    // Every lane explores from the learner's current ε-schedule position —
-    // the same round-start convention as the multi-worker runtime, so the
-    // trajectory of episode e cannot depend on batch width bookkeeping.
+    // Every lane explores from the learner's round-start ε-schedule
+    // position, so the trajectory of episode e cannot depend on which lanes
+    // finish first.
     la.selections = agents_[static_cast<std::size_t>(k)]->high_level().selections();
     ep.selections[static_cast<std::size_t>(k)] = la.selections;
     options_[la_index(lane, k)] = static_cast<int>(Option::kKeepLane);
@@ -87,8 +87,8 @@ void BatchedRollout::stage_opp_labels(std::size_t lane, int k,
     if (j == k) continue;
     const int actual = options_[la_index(lane, j)];
     if (score) {
-      // Score the block cached at option-selection time, exactly like the
-      // serial HeroAgent::observe_opponents scoreboard.
+      // Score the block cached at option-selection time: one forward per
+      // option hold, not one per primitive step.
       const double* p = la.opp_cache.data() + slot * kNumOptions;
       const int pred = static_cast<int>(std::max_element(p, p + kNumOptions) - p);
       ++ep.opp_total;
@@ -106,8 +106,8 @@ void BatchedRollout::finish_lane(std::size_t lane, bool observing) {
   const int e = static_cast<int>(lane);
 
   // Terminal observation per agent: feeds the episode's last opponent labels
-  // (the serial loop observes after every step, including the last) and the
-  // done = true semi-MDP store of HeroAgent::finalize_episode.
+  // (labels follow every step, including the last) and the done = true
+  // store of each agent's pending semi-MDP transition.
   for (int k = 0; k < n_; ++k) {
     const int vi = world_.learners()[static_cast<std::size_t>(k)];
     double* row = hl_obs_.row_ptr(la_index(lane, k));
@@ -207,9 +207,9 @@ void BatchedRollout::step_once(bool observing) {
   // (4) Option selection, agent-major: for agent k, all lanes that need a
   // selection share one opponent-model forward and one actor forward; the
   // ε/categorical draws then come lane-ascending from each lane's own
-  // stream. Processing k ascending keeps the one-hot opponent blocks on the
-  // serial convention (agents < k already updated this step, agents > k
-  // still on their previous option).
+  // stream. Processing k ascending fixes the one-hot opponent blocks'
+  // convention: agents < k already updated this step, agents > k still on
+  // their previous option.
   {
   OBS_PHASE("select");
   for (int k = 0; k < n_; ++k) {
@@ -304,7 +304,7 @@ void BatchedRollout::step_once(bool observing) {
       if (la.exec.option == Option::kKeepLane) {
         cmds_[la_index(lane, k)] = {la.exec.hold_speed, 0.0};
       }
-      ++la.exec.steps;  // one step_all follows, mirroring the serial act()
+      ++la.exec.steps;  // one step_all follows
     }
   }
   for (int oi = 0; oi < kNumOptions; ++oi) {

@@ -1,21 +1,23 @@
-// Batch-first stage-2 rollout: E episodes advance in lockstep through one
-// BatchLaneWorld, and every per-step network evaluation — opponent-model
-// prediction, high-level actor softmax, skill-policy action — runs as a
-// single batch=E forward instead of E single-row dispatches
-// (docs/BATCHING.md).
+// Stage-2 collection (paper Algorithm 1): E episodes advance in lockstep
+// through one BatchLaneWorld, and every per-step network evaluation —
+// opponent-model prediction, high-level actor softmax, skill-policy action —
+// runs as a single batch=E forward instead of E single-row dispatches
+// (docs/BATCHING.md). HeroTrainer::train collects only through this class;
+// width 1 is one episode at a time.
 //
-// Each lane (environment slot) replays the serial episode logic exactly:
-// the same β_o termination tests, the same semi-MDP accumulation, the same
-// per-stream RNG draw sets. Draws come from the counter-based episode
-// stream stream_rng(root, episode), so a run is bitwise reproducible for a
-// fixed (seed, batch_envs) pair. Collected experience is staged per lane
-// and merged by the trainer in lane order — which IS canonical episode
-// order, so no reordering step exists to get wrong.
+// Each lane (environment slot) runs the semi-MDP bookkeeping for its n
+// agents: β_o termination tests, discounted reward accumulation into the
+// pending option transition, and opponent labels every step. Draws come
+// from the counter-based episode stream stream_rng(root, episode), so a run
+// is bitwise reproducible for a fixed (seed, batch_envs) pair. Collected
+// experience is staged per lane and merged by the trainer in lane order —
+// which IS canonical episode order, so no reordering step exists to get
+// wrong.
 //
 // The rollout only *reads* the learner's networks (actor, opponent
 // predictors, frozen skills); all replay buffers are filled at merge time
-// by HeroTrainer::train_batched. Single-threaded by design: batching, not
-// threading, is the throughput lever here (docs/PARALLELISM.md compares).
+// by HeroTrainer::train. Single-threaded by design: batching, not
+// threading, is the throughput lever here (docs/PARALLELISM.md).
 #pragma once
 
 #include <cstdint>
@@ -31,8 +33,7 @@
 namespace hero::core {
 
 // One finished episode's staged experience, in the exact shapes the
-// trainer's merge consumes (mirrors HeroTrainer::CollectedEpisode, but the
-// transitions ride along instead of living in a shard).
+// trainer's merge consumes.
 struct BatchedEpisode {
   rl::EpisodeStats stats;
   long switches = 0;
@@ -67,17 +68,18 @@ class BatchedRollout {
   BatchedEpisode& episode(std::size_t i) { return episodes_[i]; }
 
   // Synchronized batch steps executed by the last round — the trainer's
-  // gradient-update clock: one batch step advances every live lane, so the
-  // serial cadence of one update round per `update_every` *steps* becomes
-  // one per `update_every` *batch steps* (standard vectorized-RL semantics;
-  // at E lanes that is ~E× fewer gradient rounds per environment step).
+  // gradient-update clock: one update round per `update_every` *batch
+  // steps*. One batch step advances every live lane, so at E lanes that is
+  // ~E× fewer gradient rounds per environment step than at width 1
+  // (standard vectorized-RL semantics).
   long round_batch_steps() const { return round_batch_steps_; }
 
   sim::BatchLaneWorld& world() { return world_; }
 
  private:
-  // Per-(lane, agent) episode bookkeeping — the batched analogue of
-  // HeroAgent's exec_/pending_/opp_cache_ trio.
+  // Per-(lane, agent) episode bookkeeping: the option being executed, the
+  // pending semi-MDP transition it will close, and the opponent prediction
+  // cached at its selection.
   struct LaneAgent {
     OptionExecution exec;
     bool has_pending = false;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/phase.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 
 namespace hero::core {
@@ -16,33 +15,19 @@ HeroAgent::HeroAgent(std::size_t hl_obs_dim, int num_opponents,
   opponents_ = std::make_unique<OpponentModel>(hl_obs_dim, num_opponents, opponent, rng);
 }
 
-void HeroAgent::reset_episode() {
-  pending_.reset();
-  exec_ = OptionExecution{};
-  opp_cache_.clear();
-}
+void HeroAgent::reset_episode() { exec_ = OptionExecution{}; }
 
 const std::vector<double>& HeroAgent::opp_block(const std::vector<double>& obs) {
-  opp_cache_.resize(opponents_->feature_dim());
+  opp_block_.resize(opponents_->feature_dim());
   if (!high_cfg_.use_opponent_model || opponents_->num_opponents() == 0) {
-    std::fill(opp_cache_.begin(), opp_cache_.end(), 1.0 / kNumOptions);
+    std::fill(opp_block_.begin(), opp_block_.end(), 1.0 / kNumOptions);
   } else {
-    opponents_->predict_all_into(obs, opp_cache_.data());
+    opponents_->predict_all_into(obs, opp_block_.data());
   }
-  return opp_cache_;
+  return opp_block_;
 }
 
-std::vector<double> HeroAgent::one_hot_block(
-    const std::vector<int>& others_options) const {
-  std::vector<double> block(others_options.size() * kNumOptions, 0.0);
-  for (std::size_t j = 0; j < others_options.size(); ++j) {
-    block[j * kNumOptions + static_cast<std::size_t>(others_options[j])] = 1.0;
-  }
-  return block;
-}
-
-void HeroAgent::select(const sim::LaneWorld& world, int vehicle,
-                       const std::vector<int>& others_options, Rng& rng,
+void HeroAgent::select(const sim::LaneWorld& world, int vehicle, Rng& rng,
                        bool explore) {
   const auto obs = world.high_level_obs(vehicle);
   const int opt = high_->select_option(obs, opp_block(obs), rng, explore);
@@ -55,78 +40,17 @@ void HeroAgent::select(const sim::LaneWorld& world, int vehicle,
     exec_.target_lane = world.lane(vehicle);
   }
   exec_.hold_speed = world.vehicle(vehicle).state().speed;
-
-  pending_ = Pending{obs, one_hot_block(others_options), opt, 0.0, 1.0};
 }
 
-void HeroAgent::select_initial(const sim::LaneWorld& world, int vehicle,
-                               const std::vector<int>& others_options, Rng& rng,
+void HeroAgent::select_initial(const sim::LaneWorld& world, int vehicle, Rng& rng,
                                bool explore) {
   reset_episode();
-  select(world, vehicle, others_options, rng, explore);
+  select(world, vehicle, rng, explore);
 }
 
-bool HeroAgent::maybe_reselect(const sim::LaneWorld& world, int vehicle,
-                               const std::vector<int>& others_options, Rng& rng,
-                               bool explore, bool learning) {
-  if (!option_terminated(exec_, world, vehicle, term_)) return false;
-  if (pending_ && learning) {
-    high_->store({std::move(pending_->obs), std::move(pending_->opp_actual),
-                  pending_->option, pending_->reward, pending_->discount,
-                  world.high_level_obs(vehicle), /*done=*/false});
-  }
-  pending_.reset();
-  select(world, vehicle, others_options, rng, explore);
-  return true;
-}
-
-void HeroAgent::accumulate(double reward) {
-  if (!pending_) return;
-  pending_->reward += pending_->discount * reward;
-  pending_->discount *= high_cfg_.gamma;
-}
-
-void HeroAgent::finalize_episode(const sim::LaneWorld& world, int vehicle,
-                                 bool learning) {
-  if (pending_ && learning) {
-    high_->store({std::move(pending_->obs), std::move(pending_->opp_actual),
-                  pending_->option, pending_->reward, pending_->discount,
-                  world.high_level_obs(vehicle), /*done=*/true});
-  }
-  pending_.reset();
-}
-
-void HeroAgent::observe_opponents(const std::vector<double>& own_obs,
-                                  const std::vector<int>& others_options) {
-  const bool score = high_cfg_.use_opponent_model &&
-                     (obs::metrics_enabled() || obs::telemetry_enabled()) &&
-                     opp_cache_.size() == others_options.size() * kNumOptions;
-  for (std::size_t j = 0; j < others_options.size(); ++j) {
-    if (score) {
-      // Score the prediction cached at option-selection time — one forward
-      // per hold instead of one per primitive step. (The label recorded via
-      // observe() below never trains on its own prediction either way.)
-      const double* p = opp_cache_.data() + j * kNumOptions;
-      const int pred = static_cast<int>(std::max_element(p, p + kNumOptions) - p);
-      ++opp_total_;
-      if (pred == others_options[j]) ++opp_correct_;
-    }
-    opponents_->observe(static_cast<int>(j), own_obs,
-                        option_from_index(others_options[j]));
-  }
-}
-
-void HeroAgent::sync_policy_from(HeroAgent& src) {
-  high_->actor().net().copy_params_from(src.high_->actor().net());
-  high_->set_selections(src.high_->selections());
-  HERO_CHECK(opponents_->num_opponents() == src.opponents_->num_opponents());
-  for (int j = 0; j < opponents_->num_opponents(); ++j) {
-    opponents_->net(j).copy_params_from(src.opponents_->net(j));
-  }
-  // Readiness is monotone: once the learner's predictors are live, replicas
-  // must stop answering with the uniform prior (their own buffers reset
-  // every episode, so buffer occupancy cannot carry the signal).
-  if (src.opponents_->prediction_ready()) opponents_->mark_trained();
+void HeroAgent::maybe_reselect(const sim::LaneWorld& world, int vehicle, Rng& rng,
+                               bool explore) {
+  if (option_terminated(exec_, world, vehicle, term_)) select(world, vehicle, rng, explore);
 }
 
 AgentUpdateStats HeroAgent::update(Rng& rng) {

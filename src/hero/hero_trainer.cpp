@@ -7,7 +7,6 @@
 #include "hero/checkpoint.h"
 #include "nn/serialize.h"
 #include "obs/obs.h"
-#include "runtime/rollout.h"
 #include "sim/scenario.h"
 
 namespace hero::core {
@@ -24,35 +23,21 @@ HeroTrainer::HeroTrainer(const sim::Scenario& scenario, const HeroConfig& cfg,
         world_.high_level_obs_dim(), n - 1, cfg_.high, cfg_.opponent,
         cfg_.skill.termination, rng));
   }
-  current_options_.assign(static_cast<std::size_t>(n),
-                          static_cast<int>(Option::kKeepLane));
-}
-
-const std::vector<int>& HeroTrainer::others_options(int k) const {
-  others_scratch_.clear();
-  for (std::size_t j = 0; j < current_options_.size(); ++j) {
-    if (static_cast<int>(j) != k) others_scratch_.push_back(current_options_[j]);
-  }
-  return others_scratch_;
-}
-
-runtime::ThreadPool& HeroTrainer::ensure_pool(std::size_t threads) {
-  if (!pool_ || pool_->size() < threads) {
-    pool_ = std::make_unique<runtime::ThreadPool>(threads);
-  }
-  return *pool_;
 }
 
 std::map<Option, std::vector<double>> HeroTrainer::train_skills(
     int episodes_per_skill, Rng& rng, const SkillHook& hook) {
   OBS_PHASE("stage1");
-  if (cfg_.parallel_skills || cfg_.num_workers > 1) {
+  if (cfg_.num_workers > 1) {
     // One task per learned skill; a pool at least as wide as the skill count
     // preserves the historical thread-per-skill concurrency.
-    auto& pool = ensure_pool(std::max<std::size_t>(
-        static_cast<std::size_t>(std::max(cfg_.num_workers, 1)),
-        static_cast<std::size_t>(kNumOptions - 1)));
-    return skills_.train_all_parallel(episodes_per_skill, rng.engine()(), pool, hook);
+    const std::size_t threads = std::max<std::size_t>(
+        static_cast<std::size_t>(cfg_.num_workers),
+        static_cast<std::size_t>(kNumOptions - 1));
+    if (!pool_ || pool_->size() < threads) {
+      pool_ = std::make_unique<runtime::ThreadPool>(threads);
+    }
+    return skills_.train_all_parallel(episodes_per_skill, rng.engine()(), *pool_, hook);
   }
   std::map<Option, std::vector<double>> curves;
   for (int i = 0; i < kNumOptions; ++i) {
@@ -105,8 +90,6 @@ void HeroTrainer::load(const std::string& dir) {
 void HeroTrainer::begin_episode(const sim::LaneWorld& world) {
   (void)world;
   episode_started_ = false;
-  std::fill(current_options_.begin(), current_options_.end(),
-            static_cast<int>(Option::kKeepLane));
   for (auto& a : agents_) a->reset_episode();
 }
 
@@ -119,18 +102,12 @@ std::vector<sim::TwistCmd> HeroTrainer::act(const sim::LaneWorld& world, Rng& rn
 
   for (int k = 0; k < n; ++k) {
     const int vi = world.learners()[static_cast<std::size_t>(k)];
+    auto& agent = *agents_[static_cast<std::size_t>(k)];
     if (!episode_started_) {
-      agents_[static_cast<std::size_t>(k)]->select_initial(world, vi,
-                                                           others_options(k), rng,
-                                                           explore);
+      agent.select_initial(world, vi, rng, explore);
     } else {
-      if (agents_[static_cast<std::size_t>(k)]->maybe_reselect(
-              world, vi, others_options(k), rng, explore, learning_)) {
-        ++option_switches_;
-      }
+      agent.maybe_reselect(world, vi, rng, explore);
     }
-    current_options_[static_cast<std::size_t>(k)] =
-        static_cast<int>(agents_[static_cast<std::size_t>(k)]->execution().option);
   }
   episode_started_ = true;
 
@@ -164,17 +141,6 @@ void HeroTrainer::batched_act(const rl::ObsBatch& batch, Rng* const* rngs,
   }
   act_engine_->act_rows(skills_, agents_, cfg_.high, cfg_.skill.termination,
                         batch, act_session_ptrs_.data(), rngs, explore, cmds_out);
-}
-
-void HeroTrainer::train(int episodes, Rng& rng, const algos::EpisodeHook& hook) {
-  OBS_PHASE("stage2");
-  if (cfg_.batch_envs > 0) {
-    train_batched(episodes, rng, hook);
-  } else if (cfg_.num_workers <= 1) {
-    train_serial(episodes, rng, hook);
-  } else {
-    train_parallel(episodes, rng, hook);
-  }
 }
 
 void HeroTrainer::emit_episode_obs(int episode, const rl::EpisodeStats& stats,
@@ -257,346 +223,12 @@ void HeroTrainer::emit_episode_obs(int episode, const rl::EpisodeStats& stats,
   }
 }
 
-void HeroTrainer::train_serial(int episodes, Rng& rng,
-                               const algos::EpisodeHook& hook) {
-  learning_ = true;
-  const int n = static_cast<int>(agents_.size());
-
-  for (int ep = 0; ep < episodes; ++ep) {
-    OBS_SPAN("stage2/episode");
-    const bool observing = obs::metrics_enabled() || obs::telemetry_enabled();
-    const double ep_start_us = obs::now_us();
-    const long switches_before = option_switches_;
-    if (observing) {
-      for (auto& a : agents_) a->reset_opp_score();
-    }
-    RunningStat critic_loss, actor_entropy, critic_gn, actor_gn, opp_loss;
-
-    world_.reset(rng);
-    begin_episode(world_);
-    rl::EpisodeStats stats;
-
-    while (!world_.done()) {
-      auto cmds = act(world_, rng, /*explore=*/true);
-      auto result = world_.step(cmds, rng);
-      stats.team_reward += mean_of(result.reward);
-      if (result.collision) stats.collision = true;
-      ++total_steps_;
-
-      {
-        OBS_PHASE("obs_build");
-        for (int k = 0; k < n; ++k) {
-          const int vi = world_.learners()[static_cast<std::size_t>(k)];
-          agents_[static_cast<std::size_t>(k)]->accumulate(
-              result.reward[static_cast<std::size_t>(k)]);
-          agents_[static_cast<std::size_t>(k)]->observe_opponents(
-              world_.high_level_obs(vi), others_options(k));
-        }
-      }
-
-      if (total_steps_ % cfg_.update_every == 0) {
-        for (auto& a : agents_) {
-          const AgentUpdateStats us = a->update(rng);
-          if (!observing) continue;
-          if (us.high.updated) {
-            critic_loss.add(us.high.critic_loss);
-            actor_entropy.add(us.high.actor_entropy);
-            critic_gn.add(us.high.critic_grad_norm);
-            actor_gn.add(us.high.actor_grad_norm);
-          }
-          if (us.opponent_updates > 0) opp_loss.add(us.opponent_loss);
-        }
-      }
-    }
-
-    for (int k = 0; k < n; ++k) {
-      const int vi = world_.learners()[static_cast<std::size_t>(k)];
-      agents_[static_cast<std::size_t>(k)]->finalize_episode(world_, vi,
-                                                             /*learning=*/true);
-    }
-
-    stats.steps = world_.steps();
-    stats.success = !stats.collision &&
-                    world_.lane(scenario_.merger_index) == scenario_.merger_target_lane;
-    double speed = 0.0;
-    for (int vi : world_.learners()) speed += world_.mean_speed(vi);
-    stats.mean_speed = speed / static_cast<double>(world_.num_learners());
-
-    if (observing) {
-      const double wall_s = (obs::now_us() - ep_start_us) * 1e-6;
-      const double steps_per_sec =
-          wall_s > 0.0 ? static_cast<double>(stats.steps) / wall_s : 0.0;
-      long opp_preds = 0, opp_hits = 0;
-      for (auto& a : agents_) {
-        opp_preds += a->opp_predictions();
-        opp_hits += a->opp_correct();
-      }
-      emit_episode_obs(ep, stats, option_switches_ - switches_before, opp_preds,
-                       opp_hits, steps_per_sec, critic_loss, actor_entropy,
-                       critic_gn, actor_gn, opp_loss);
-    }
-    if (hook) hook(ep, stats);
-  }
-  learning_ = false;
-}
-
-void HeroTrainer::ensure_replicas(std::size_t slots, std::uint64_t root_seed) {
-  HeroConfig replica_cfg = cfg_;
-  replica_cfg.num_workers = 1;  // replicas never recurse into the runtime
-  replica_cfg.parallel_skills = false;
-  while (replicas_.size() < slots) {
-    // Construction draws initialize networks that the first sync_replicas()
-    // overwrites; the stream only needs to be deterministic.
-    Rng init = runtime::stream_rng(root_seed, 0x5107'0000ULL + replicas_.size());
-    replicas_.push_back(
-        std::make_unique<HeroTrainer>(scenario_, replica_cfg, init));
-  }
-}
-
-void HeroTrainer::sync_replicas(std::size_t slots) {
-  for (std::size_t s = 0; s < slots; ++s) {
-    HeroTrainer& w = *replicas_[s];
-    for (std::size_t k = 0; k < agents_.size(); ++k) {
-      w.agents_[k]->sync_policy_from(*agents_[k]);
-    }
-  }
-}
-
-void HeroTrainer::parallel_update(Rng& rng, std::vector<AgentUpdateStats>& out) {
-  const std::size_t n = agents_.size();
-  out.resize(n);
-  // One engine draw keys the whole round; per-agent streams split from it so
-  // the update is independent of pool scheduling, and the learner's rng
-  // advances exactly once per round regardless of agent count.
-  const std::uint64_t base = rng.engine()();
-  pool_->parallel_for(n, [&](std::size_t k) {
-    Rng agent_rng = runtime::stream_rng(base, k);
-    out[k] = agents_[k]->update(agent_rng);
-  });
-}
-
-void HeroTrainer::collect_episode(Rng& rng, std::size_t slot,
-                                  runtime::ShardedReplay<StagedHigh>& high_staging,
-                                  runtime::ShardedReplay<StagedOpp>& opp_staging,
-                                  CollectedEpisode& out) {
-  OBS_PHASE("rollout_collect");  // worker-thread root in the merged phase tree
-  const double t0_us = obs::now_us();
-  learning_ = true;  // store semi-MDP transitions in the replica buffers
-  const int n = static_cast<int>(agents_.size());
-  const long switches_before = option_switches_;
-  out.switches = 0;  // the learner reuses CollectedEpisode records round-over-round
-  out.opp_total = 0;
-  out.opp_correct = 0;
-  out.selections.assign(static_cast<std::size_t>(n), 0);
-  out.high_counts.assign(static_cast<std::size_t>(n), 0);
-  out.opp_counts.assign(static_cast<std::size_t>(n), 0);
-  for (int k = 0; k < n; ++k) {
-    out.selections[static_cast<std::size_t>(k)] =
-        agents_[static_cast<std::size_t>(k)]->high_level().selections();
-  }
-  for (auto& a : agents_) a->reset_opp_score();
-
-  world_.reset(rng);
-  begin_episode(world_);
-  rl::EpisodeStats stats;
-
-  while (!world_.done()) {
-    auto cmds = act(world_, rng, /*explore=*/true);
-    auto result = world_.step(cmds, rng);
-    stats.team_reward += mean_of(result.reward);
-    if (result.collision) stats.collision = true;
-    ++total_steps_;
-    OBS_PHASE("obs_build");
-    for (int k = 0; k < n; ++k) {
-      const int vi = world_.learners()[static_cast<std::size_t>(k)];
-      agents_[static_cast<std::size_t>(k)]->accumulate(
-          result.reward[static_cast<std::size_t>(k)]);
-      agents_[static_cast<std::size_t>(k)]->observe_opponents(
-          world_.high_level_obs(vi), others_options(k));
-    }
-  }
-  for (int k = 0; k < n; ++k) {
-    const int vi = world_.learners()[static_cast<std::size_t>(k)];
-    agents_[static_cast<std::size_t>(k)]->finalize_episode(world_, vi,
-                                                           /*learning=*/true);
-  }
-
-  stats.steps = world_.steps();
-  stats.success = !stats.collision &&
-                  world_.lane(scenario_.merger_index) == scenario_.merger_target_lane;
-  double speed = 0.0;
-  for (int vi : world_.learners()) speed += world_.mean_speed(vi);
-  stats.mean_speed = speed / static_cast<double>(world_.num_learners());
-
-  // Stage this episode's experience into our shard, agent-major, FIFO within
-  // an agent — the exact order drain_front hands the learner.
-  for (int k = 0; k < n; ++k) {
-    auto& agent = *agents_[static_cast<std::size_t>(k)];
-    const auto& buf = agent.high_level().buffer();
-    for (std::size_t i = 0; i < buf.size(); ++i) {
-      high_staging.push(slot, {k, buf.at(i)});
-    }
-    out.high_counts[static_cast<std::size_t>(k)] = buf.size();
-    agent.high_level().clear_buffer();
-
-    auto& om = agent.opponents();
-    std::size_t staged = 0;
-    for (int j = 0; j < om.num_opponents(); ++j) {
-      const std::size_t m = om.samples(j);
-      for (std::size_t i = 0; i < m; ++i) {
-        opp_staging.push(slot, {k, j, om.sample_at(j, i)});
-      }
-      staged += m;
-    }
-    out.opp_counts[static_cast<std::size_t>(k)] = staged;
-    om.clear_buffers();
-
-    out.opp_total += agent.opp_predictions();
-    out.opp_correct += agent.opp_correct();
-    // Report the ε-schedule advance, then rewind to the round-start position:
-    // every episode of a round explores from the learner's schedule, so the
-    // trajectory of episode e cannot depend on which slot ran it (the
-    // worker-count invariance in docs/PARALLELISM.md).
-    const long start = out.selections[static_cast<std::size_t>(k)];
-    out.selections[static_cast<std::size_t>(k)] =
-        agent.high_level().selections() - start;
-    agent.high_level().set_selections(start);
-  }
-  out.stats = stats;
-  out.switches = option_switches_ - switches_before;
-  runtime::RolloutRunner::record_worker_rate(slot, stats.steps,
-                                             runtime::seconds_since(t0_us));
-}
-
-void HeroTrainer::train_parallel(int episodes, Rng& rng,
-                                 const algos::EpisodeHook& hook) {
-  learning_ = true;
-  const int n = static_cast<int>(agents_.size());
-  const std::size_t workers = static_cast<std::size_t>(std::max(cfg_.num_workers, 1));
-  const std::size_t envs = cfg_.num_envs > 0 ? static_cast<std::size_t>(cfg_.num_envs)
-                                             : workers;
-  auto& pool = ensure_pool(workers);
-  // The root seed is one engine draw — the caller's rng advances the same
-  // way no matter how many episodes follow.
-  const std::uint64_t root = rng.engine()();
-  runtime::RolloutRunner runner(pool, root);
-  const std::size_t max_slots = std::min(pool.size(), envs);
-  ensure_replicas(max_slots, root);
-  for (std::size_t s = 0; s < max_slots; ++s) {
-    replicas_[s]->skills_.sync_policies_from(skills_);  // stage-2 skills frozen
-  }
-  sync_replicas(max_slots);
-
-  // Staging shards sized for one round: per slot, ceil(envs/slots) episodes
-  // of at most max_steps transitions per agent (+1 for the terminal store).
-  const std::size_t per_slot_eps = (envs + max_slots - 1) / max_slots;
-  const std::size_t max_steps =
-      static_cast<std::size_t>(std::max(world_.config().max_steps, 1)) + 2;
-  const std::size_t per_slot_items =
-      per_slot_eps * max_steps * static_cast<std::size_t>(std::max(n, 1));
-  runtime::ShardedReplay<StagedHigh> high_staging(per_slot_items * max_slots,
-                                                  max_slots);
-  runtime::ShardedReplay<StagedOpp> opp_staging(
-      per_slot_items * max_slots * static_cast<std::size_t>(std::max(n - 1, 1)),
-      max_slots);
-
-  std::vector<CollectedEpisode> results(envs);
-  std::vector<AgentUpdateStats> update_stats;
-
-  int done_eps = 0;
-  while (done_eps < episodes) {
-    const std::size_t round =
-        std::min(envs, static_cast<std::size_t>(episodes - done_eps));
-    const std::size_t slots = std::min(pool.size(), round);
-    {
-      OBS_SPAN("runtime/rollout");
-      OBS_PHASE("rollout");
-      runner.run_round(static_cast<std::size_t>(done_eps), round,
-                       [&](std::size_t ep, std::size_t slot, Rng& ep_rng) {
-                         replicas_[slot]->collect_episode(
-                             ep_rng, slot, high_staging, opp_staging,
-                             results[ep - static_cast<std::size_t>(done_eps)]);
-                       });
-    }
-    {
-      OBS_SPAN("runtime/learn");
-      OBS_PHASE("learn");
-      for (std::size_t e = 0; e < round; ++e) {
-        const CollectedEpisode& col = results[e];
-        const std::size_t slot = e % slots;
-        // Deterministic round-robin merge: episode e's staged items leave
-        // shard e % slots in exactly the order the worker pushed them.
-        std::size_t high_total = 0, opp_total = 0;
-        for (int k = 0; k < n; ++k) {
-          high_total += col.high_counts[static_cast<std::size_t>(k)];
-          opp_total += col.opp_counts[static_cast<std::size_t>(k)];
-        }
-        high_staging.drain_front(slot, high_total, [&](StagedHigh&& item) {
-          agents_[static_cast<std::size_t>(item.agent)]->high_level().store(
-              std::move(item.t));
-        });
-        opp_staging.drain_front(slot, opp_total, [&](StagedOpp&& item) {
-          agents_[static_cast<std::size_t>(item.agent)]->opponents().observe(
-              item.opponent, std::move(item.s.obs),
-              option_from_index(item.s.option));
-        });
-        total_steps_ += col.stats.steps;
-        option_switches_ += col.switches;
-        for (int k = 0; k < n; ++k) {
-          auto& hl = agents_[static_cast<std::size_t>(k)]->high_level();
-          hl.set_selections(hl.selections() +
-                            col.selections[static_cast<std::size_t>(k)]);
-        }
-
-        // Preserve the serial gradient cadence: one update round per
-        // update_every collected steps, remainder carried across episodes.
-        RunningStat critic_loss, actor_entropy, critic_gn, actor_gn, opp_loss;
-        pending_update_steps_ += col.stats.steps;
-        while (pending_update_steps_ >= cfg_.update_every) {
-          pending_update_steps_ -= cfg_.update_every;
-          parallel_update(rng, update_stats);
-          for (const auto& us : update_stats) {
-            if (us.high.updated) {
-              critic_loss.add(us.high.critic_loss);
-              actor_entropy.add(us.high.actor_entropy);
-              critic_gn.add(us.high.critic_grad_norm);
-              actor_gn.add(us.high.actor_grad_norm);
-            }
-            if (us.opponent_updates > 0) opp_loss.add(us.opponent_loss);
-          }
-        }
-
-        if (obs::metrics_enabled() || obs::telemetry_enabled()) {
-          // Wall-clock throughput is a property of the whole round, not one
-          // episode; per-worker rates live in the runtime.worker.* gauges.
-          emit_episode_obs(done_eps + static_cast<int>(e), col.stats,
-                           col.switches, col.opp_total, col.opp_correct,
-                           /*steps_per_sec=*/0.0, critic_loss, actor_entropy,
-                           critic_gn, actor_gn, opp_loss);
-        }
-        if (obs::metrics_enabled()) {
-          auto& reg = obs::Registry::instance();
-          for (std::size_t s = 0; s < slots; ++s) {
-            reg.gauge("runtime.shard." + std::to_string(s) + ".occupancy")
-                .set(static_cast<double>(high_staging.shard_size(s)));
-          }
-        }
-        if (hook) hook(done_eps + static_cast<int>(e), col.stats);
-      }
-      sync_replicas(slots);
-    }
-    done_eps += static_cast<int>(round);
-  }
-  learning_ = false;
-}
-
-void HeroTrainer::train_batched(int episodes, Rng& rng,
-                                const algos::EpisodeHook& hook) {
-  learning_ = true;
+void HeroTrainer::train(int episodes, Rng& rng, const algos::EpisodeHook& hook) {
+  OBS_PHASE("stage2");
   const int n = static_cast<int>(agents_.size());
   const int envs = std::max(cfg_.batch_envs, 1);
-  // One engine draw keys the whole run, matching train_parallel: the
-  // caller's rng advances identically however many episodes follow.
+  // One engine draw keys the whole call: the caller's rng advances
+  // identically however many episodes follow.
   const std::uint64_t root = rng.engine()();
   if (!batched_) {
     batched_ = std::make_unique<BatchedRollout>(scenario_, cfg_.high,
@@ -610,14 +242,15 @@ void HeroTrainer::train_batched(int episodes, Rng& rng,
     const std::size_t round = std::min<std::size_t>(
         static_cast<std::size_t>(envs), static_cast<std::size_t>(episodes - done_eps));
     const bool observing = obs::metrics_enabled() || obs::telemetry_enabled();
+    const double round_start_us = observing ? obs::now_us() : 0.0;
     batched_->run_round(root, static_cast<std::size_t>(done_eps), round, observing);
 
     {
       OBS_SPAN("runtime/learn");
       OBS_PHASE("learn");
       // Merge in lane order == canonical episode order: replay stores
-      // agent-major FIFO, opponent labels (agent, opponent)-major FIFO —
-      // exactly the order the sharded runtime drains.
+      // agent-major FIFO, opponent labels (agent, opponent)-major FIFO.
+      long round_steps = 0;
       {
         OBS_PHASE("merge");
         for (std::size_t e = 0; e < round; ++e) {
@@ -639,16 +272,16 @@ void HeroTrainer::train_batched(int episodes, Rng& rng,
             hl.set_selections(hl.selections() +
                               col.selections[static_cast<std::size_t>(k)]);
           }
-          total_steps_ += col.stats.steps;
-          option_switches_ += col.switches;
+          round_steps += col.stats.steps;
         }
+        total_steps_ += round_steps;
       }
 
       // Gradient cadence in synchronized *batch* steps — the batching
       // throughput lever (docs/BATCHING.md §cadence): one batch step advanced
       // every live lane, so at batch_envs = E this runs ~E× fewer update
-      // rounds per environment step than the serial loop, with the remainder
-      // carried across rounds like the worker runtime does.
+      // rounds per environment step than one lane does, with the remainder
+      // carried across rounds.
       RunningStat critic_loss, actor_entropy, critic_gn, actor_gn, opp_loss;
       pending_update_steps_ += batched_->round_batch_steps();
       while (pending_update_steps_ >= cfg_.update_every) {
@@ -668,6 +301,13 @@ void HeroTrainer::train_batched(int episodes, Rng& rng,
         }
       }
 
+      // Throughput is a property of the whole round (collection, merge and
+      // updates), reported on each of its episodes.
+      double steps_per_sec = 0.0;
+      if (observing) {
+        const double wall_s = (obs::now_us() - round_start_us) * 1e-6;
+        if (wall_s > 0.0) steps_per_sec = static_cast<double>(round_steps) / wall_s;
+      }
       for (std::size_t e = 0; e < round; ++e) {
         const BatchedEpisode& col = batched_->episode(e);
         if (observing) {
@@ -677,7 +317,7 @@ void HeroTrainer::train_batched(int episodes, Rng& rng,
           const RunningStat empty;
           emit_episode_obs(done_eps + static_cast<int>(e), col.stats,
                            col.switches, col.opp_total, col.opp_correct,
-                           /*steps_per_sec=*/0.0, last ? critic_loss : empty,
+                           steps_per_sec, last ? critic_loss : empty,
                            last ? actor_entropy : empty, last ? critic_gn : empty,
                            last ? actor_gn : empty, last ? opp_loss : empty);
         }
@@ -686,7 +326,6 @@ void HeroTrainer::train_batched(int episodes, Rng& rng,
     }
     done_eps += static_cast<int>(round);
   }
-  learning_ = false;
 }
 
 }  // namespace hero::core

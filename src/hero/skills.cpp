@@ -194,16 +194,6 @@ std::map<Option, std::vector<double>> SkillBank::train_all_parallel(
   return curves;
 }
 
-void SkillBank::sync_policies_from(SkillBank& src) {
-  for (int i = 0; i < kNumOptions; ++i) {
-    auto& dst_ptr = agents_[static_cast<std::size_t>(i)];
-    auto& src_ptr = src.agents_[static_cast<std::size_t>(i)];
-    HERO_CHECK((dst_ptr == nullptr) == (src_ptr == nullptr));
-    if (!dst_ptr) continue;
-    dst_ptr->policy().net().copy_params_from(src_ptr->policy().net());
-  }
-}
-
 void SkillBank::save(const std::string& dir) const {
   for (int i = 0; i < kNumOptions; ++i) {
     const auto& ptr = agents_[static_cast<std::size_t>(i)];

@@ -81,11 +81,6 @@ class SkillBank {
       int episodes_per_skill, std::uint64_t seed, runtime::ThreadPool& pool,
       const std::function<void(Option, int, double)>& hook = {});
 
-  // Copies the act-path parameters (SAC policy networks) from `src` into
-  // this bank — how rollout replicas pick up the learner's frozen skills
-  // (critics/optimizers are learner-only state).
-  void sync_policies_from(SkillBank& src);
-
   // Checkpointing of all learned skills (directory of herockpt files).
   void save(const std::string& dir) const;
   void load(const std::string& dir);

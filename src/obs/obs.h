@@ -56,7 +56,6 @@ struct RunManifest {
   std::string config_digest;  // config_digest() over the canonical flag string
   long long seed = 0;
   int num_workers = 1;
-  int num_envs = 0;
   int batch_envs = 0;
 };
 

@@ -1,7 +1,7 @@
 // Hierarchical phase-time attribution: low-overhead accumulating timers
 // that answer "where did the wall-clock of this run go?".
 //
-//   void HeroTrainer::train_batched(...) {
+//   void HeroTrainer::train(...) {
 //     OBS_PHASE("stage2");
 //     ...
 //     { OBS_PHASE("rollout"); batched_->run_round(...); }

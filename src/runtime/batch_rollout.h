@@ -1,14 +1,13 @@
-// BatchRoundScheduler: round scheduling over environment batches — the
-// batch-first analogue of RolloutRunner (docs/BATCHING.md).
+// BatchRoundScheduler: round scheduling over environment batches
+// (docs/BATCHING.md).
 //
 // A round maps episodes [first, first + count) onto `count` lanes of a
 // vectorized environment (lane i ↔ episode first + i). Lane i draws every
 // per-episode random value from the counter-based stream
-// stream_rng(root_seed, first + i) — the same stream addressing the
-// multi-worker runtime uses for its slots — so a batched run is bitwise
+// stream_rng(root_seed, first + i), so a batched run is bitwise
 // reproducible for a fixed (seed, batch width), and collected episodes come
 // out in canonical episode order by construction (lane order IS episode
-// order; no merge step needed).
+// order; no reordering step needed).
 //
 // Lanes finish independently (episodes end at different steps); finish()
 // retires a lane and the active mask feeds straight into the batched draw

@@ -1,13 +1,13 @@
-// Counter-based RNG stream splitting for the parallel runtime.
+// Counter-based RNG stream splitting.
 //
-// Worker streams must be reproducible for a fixed (seed, num_workers) pair
-// and statistically independent of each other. Deriving child seeds by
-// jumping a shared engine would serialize stream creation and couple a
-// stream's identity to creation order; instead each stream is addressed by a
-// counter: stream k of root seed s is seeded with a splitmix64-style hash of
-// (s, k). Any worker can construct its stream without touching shared state,
-// and stream k is the same no matter how many workers exist or which thread
-// asks for it (docs/PARALLELISM.md).
+// Episode streams must be reproducible for a fixed root seed and
+// statistically independent of each other. Deriving child seeds by jumping a
+// shared engine would serialize stream creation and couple a stream's
+// identity to creation order; instead each stream is addressed by a counter:
+// stream k of root seed s is seeded with a splitmix64-style hash of (s, k).
+// Any lane or thread can construct its stream without touching shared
+// state, and stream k is the same no matter who asks for it
+// (docs/PARALLELISM.md).
 #pragma once
 
 #include <cstdint>

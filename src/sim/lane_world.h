@@ -78,8 +78,8 @@ struct StepResult {
 // Thread-safety: a LaneWorld instance is confined to one thread at a time —
 // reset/step mutate internal state and draw from the caller's Rng. The only
 // state shared between instances is the obs metrics registry (atomic
-// counters), so the parallel runtime keeps one instance per worker slot and
-// never locks (docs/PARALLELISM.md).
+// counters), so concurrent users (the stage-1 skill pool) keep one instance
+// per task and never lock (docs/PARALLELISM.md).
 class LaneWorld {
  public:
   explicit LaneWorld(const LaneWorldConfig& cfg);

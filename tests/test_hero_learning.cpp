@@ -1,9 +1,12 @@
 // Tests for HERO's learning components: the opponent model, the high-level
-// actor–critic, and the per-agent semi-MDP bookkeeping.
+// actor–critic, and the semi-MDP bookkeeping of stage-2 collection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <memory>
 
+#include "hero/batched_rollout.h"
 #include "hero/hero_agent.h"
 #include "sim/scenario.h"
 
@@ -216,58 +219,6 @@ sim::LaneWorld coop_world() {
   return sim::LaneWorld(sim::cooperative_lane_change().config);
 }
 
-TEST(HeroAgent, SemiMdpRewardAccumulation) {
-  Rng rng(11);
-  auto world = coop_world();
-  world.reset(rng);
-  HighLevelConfig cfg = fast_high();
-  cfg.gamma = 0.9;
-  HeroAgent agent(world.high_level_obs_dim(), 2, cfg, OpponentModelConfig{},
-                  TerminationConfig{}, rng);
-
-  agent.select_initial(world, 0, {0, 0}, rng, /*explore=*/true);
-  agent.accumulate(1.0);
-  agent.accumulate(2.0);
-  agent.accumulate(4.0);
-  agent.finalize_episode(world, 0, /*learning=*/true);
-
-  ASSERT_EQ(agent.high_level().buffered(), 1u);
-  const auto& t = agent.high_level().buffer().at(0);
-  // R = 1 + 0.9·2 + 0.81·4 = 6.04; γ^c = 0.9³.
-  EXPECT_NEAR(t.reward, 6.04, 1e-12);
-  EXPECT_NEAR(t.gamma_pow, 0.9 * 0.9 * 0.9, 1e-12);
-  EXPECT_TRUE(t.done);
-}
-
-TEST(HeroAgent, StoresActualOpponentOptionsOneHot) {
-  Rng rng(12);
-  auto world = coop_world();
-  world.reset(rng);
-  HeroAgent agent(world.high_level_obs_dim(), 2, fast_high(), OpponentModelConfig{},
-                  TerminationConfig{}, rng);
-  agent.select_initial(world, 0, {1, 3}, rng, true);
-  agent.finalize_episode(world, 0, true);
-  const auto& t = agent.high_level().buffer().at(0);
-  ASSERT_EQ(t.opp_actual.size(), 2u * kNumOptions);
-  EXPECT_DOUBLE_EQ(t.opp_actual[1], 1.0);                 // opponent 0 = option 1
-  EXPECT_DOUBLE_EQ(t.opp_actual[kNumOptions + 3], 1.0);   // opponent 1 = option 3
-  double s = 0;
-  for (double v : t.opp_actual) s += v;
-  EXPECT_DOUBLE_EQ(s, 2.0);
-}
-
-TEST(HeroAgent, NoStorageWhenLearningDisabled) {
-  Rng rng(13);
-  auto world = coop_world();
-  world.reset(rng);
-  HeroAgent agent(world.high_level_obs_dim(), 2, fast_high(), OpponentModelConfig{},
-                  TerminationConfig{}, rng);
-  agent.select_initial(world, 0, {0, 0}, rng, false);
-  agent.accumulate(1.0);
-  agent.finalize_episode(world, 0, /*learning=*/false);
-  EXPECT_EQ(agent.high_level().buffered(), 0u);
-}
-
 TEST(HeroAgent, LaneChangeTargetsOtherLane) {
   Rng rng(14);
   auto world = coop_world();
@@ -277,7 +228,7 @@ TEST(HeroAgent, LaneChangeTargetsOtherLane) {
   // Force a lane-change selection by trying until it happens (ε start 0.5).
   bool saw_change = false;
   for (int i = 0; i < 200 && !saw_change; ++i) {
-    agent.select_initial(world, 1, {0, 0}, rng, true);
+    agent.select_initial(world, 1, rng, true);
     if (agent.execution().option == Option::kLaneChange) {
       saw_change = true;
       // Vehicle 1 (the merger) starts in lane 0 → target must be lane 1.
@@ -287,26 +238,142 @@ TEST(HeroAgent, LaneChangeTargetsOtherLane) {
   EXPECT_TRUE(saw_change);
 }
 
-TEST(HeroAgent, ReselectionFinalizesPendingTransition) {
-  Rng rng(15);
-  auto world = coop_world();
-  world.reset(rng);
-  TerminationConfig term;
-  term.in_lane_duration = 1;  // every option ends after one step
-  HighLevelConfig cfg = fast_high();
-  HeroAgent agent(world.high_level_obs_dim(), 2, cfg, OpponentModelConfig{}, term,
-                  rng);
-  agent.select_initial(world, 0, {0, 0}, rng, true);
-  // Simulate: option ran for 1 step.
-  agent.execution().steps = 1;
-  agent.accumulate(0.5);
-  const bool reselected =
-      agent.execution().option == Option::kLaneChange
-          ? false  // lane change terminates by geometry, not duration
-          : agent.maybe_reselect(world, 0, {0, 0}, rng, true, true);
-  if (reselected) {
-    EXPECT_EQ(agent.high_level().buffered(), 1u);
-    EXPECT_FALSE(agent.high_level().buffer().at(0).done);
+// ------------------------------------------------------ BatchedRollout ----
+//
+// Stage 2 collects only through BatchedRollout, so its semi-MDP bookkeeping
+// is checked on a real round: every lane and every agent of it.
+
+// One round of kLanes episodes on cooperative_lane_change() from untrained
+// networks, at high-level discount `gamma`. Not movable: the rollout keeps
+// references to the skill bank and the agent roster.
+class CollectedRound {
+ public:
+  static constexpr std::size_t kLanes = 4;
+
+  explicit CollectedRound(double gamma) : sc_(sim::cooperative_lane_change()) {
+    Rng rng(19);
+    const sim::LaneWorld world(sc_.config);
+    const SkillConfig skill;
+    skills_ = std::make_unique<SkillBank>(world.low_level_obs_dim(), skill, rng);
+    HighLevelConfig high = fast_high();
+    high.gamma = gamma;
+    n_ = world.num_learners();
+    for (int k = 0; k < n_; ++k) {
+      agents_.push_back(std::make_unique<HeroAgent>(world.high_level_obs_dim(), n_ - 1,
+                                                    high, OpponentModelConfig{},
+                                                    skill.termination, rng));
+    }
+    rollout_ = std::make_unique<BatchedRollout>(sc_, high, skill.termination, *skills_,
+                                                agents_, static_cast<int>(kLanes));
+    rollout_->run_round(/*root=*/7, /*first=*/0, kLanes, /*observing=*/true);
+  }
+  CollectedRound(const CollectedRound&) = delete;
+  CollectedRound& operator=(const CollectedRound&) = delete;
+
+  int agents() const { return n_; }
+  const BatchedEpisode& episode(std::size_t lane) { return rollout_->episode(lane); }
+  const std::vector<OptionTransition>& transitions(std::size_t lane, int k) {
+    return episode(lane).high[static_cast<std::size_t>(k)];
+  }
+
+ private:
+  sim::Scenario sc_;
+  std::unique_ptr<SkillBank> skills_;
+  std::vector<std::unique_ptr<HeroAgent>> agents_;
+  std::unique_ptr<BatchedRollout> rollout_;
+  int n_ = 0;
+};
+
+TEST(BatchedRollout, TransitionsChainNextObsToObs) {
+  // A β_o firing closes the pending transition at the observation the next
+  // option is selected from.
+  CollectedRound round(0.9);
+  std::size_t chained = 0;
+  for (std::size_t lane = 0; lane < CollectedRound::kLanes; ++lane) {
+    for (int k = 0; k < round.agents(); ++k) {
+      const auto& ts = round.transitions(lane, k);
+      ASSERT_FALSE(ts.empty()) << "lane " << lane << " agent " << k;
+      for (std::size_t i = 0; i + 1 < ts.size(); ++i, ++chained) {
+        EXPECT_EQ(ts[i].next_obs, ts[i + 1].obs)
+            << "lane " << lane << " agent " << k << " transition " << i;
+      }
+    }
+  }
+  EXPECT_GT(chained, 0u);  // options are short enough to re-select in-episode
+}
+
+TEST(BatchedRollout, OnlyLastTransitionIsDone) {
+  CollectedRound round(0.9);
+  for (std::size_t lane = 0; lane < CollectedRound::kLanes; ++lane) {
+    for (int k = 0; k < round.agents(); ++k) {
+      const auto& ts = round.transitions(lane, k);
+      ASSERT_FALSE(ts.empty());
+      for (std::size_t i = 0; i < ts.size(); ++i) {
+        EXPECT_EQ(ts[i].done, i + 1 == ts.size())
+            << "lane " << lane << " agent " << k << " transition " << i;
+      }
+    }
+  }
+}
+
+TEST(BatchedRollout, StoresActualOpponentOptionsOneHot) {
+  CollectedRound round(0.9);
+  const int opponents = round.agents() - 1;
+  for (std::size_t lane = 0; lane < CollectedRound::kLanes; ++lane) {
+    for (int k = 0; k < round.agents(); ++k) {
+      for (const auto& t : round.transitions(lane, k)) {
+        ASSERT_EQ(t.opp_actual.size(),
+                  static_cast<std::size_t>(opponents) * kNumOptions);
+        double total = 0.0;
+        for (int j = 0; j < opponents; ++j) {
+          int ones = 0;
+          for (int o = 0; o < kNumOptions; ++o) {
+            const double v = t.opp_actual[static_cast<std::size_t>(j * kNumOptions + o)];
+            EXPECT_TRUE(v == 0.0 || v == 1.0) << v;
+            if (v == 1.0) ++ones;
+            total += v;
+          }
+          EXPECT_EQ(ones, 1) << "lane " << lane << " agent " << k << " opponent " << j;
+        }
+        EXPECT_EQ(total, static_cast<double>(opponents));
+      }
+    }
+  }
+}
+
+TEST(BatchedRollout, DiscountPowersCountEpisodeSteps) {
+  // Each primitive step discounts exactly one pending transition per agent,
+  // so Σ log_γ(γ^c) over an agent's transitions is the episode length.
+  constexpr double kGamma = 0.9;
+  CollectedRound round(kGamma);
+  for (std::size_t lane = 0; lane < CollectedRound::kLanes; ++lane) {
+    const int steps = round.episode(lane).stats.steps;
+    ASSERT_GT(steps, 0);
+    for (int k = 0; k < round.agents(); ++k) {
+      double held = 0.0;
+      for (const auto& t : round.transitions(lane, k)) {
+        held += std::log(t.gamma_pow) / std::log(kGamma);
+      }
+      EXPECT_NEAR(held, steps, 1e-6) << "lane " << lane << " agent " << k;
+    }
+  }
+}
+
+TEST(BatchedRollout, SemiMdpRewardAccumulation) {
+  // At γ = 1 the option rewards partition each agent's per-step rewards, so
+  // their mean over agents is the episode's team reward.
+  CollectedRound round(1.0);
+  for (std::size_t lane = 0; lane < CollectedRound::kLanes; ++lane) {
+    double mean = 0.0;
+    for (int k = 0; k < round.agents(); ++k) {
+      for (const auto& t : round.transitions(lane, k)) {
+        EXPECT_EQ(t.gamma_pow, 1.0);
+        mean += t.reward;
+      }
+    }
+    mean /= round.agents();
+    const double team = round.episode(lane).stats.team_reward;
+    EXPECT_NEAR(mean, team, 1e-9 * std::max(1.0, std::abs(team))) << "lane " << lane;
   }
 }
 

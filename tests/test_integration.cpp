@@ -172,38 +172,15 @@ std::string learner_params(core::HeroTrainer& t) {
   return os.str();
 }
 
-TEST(HeroParallel, SameSeedRunsAreBitwiseIdentical) {
-  auto run = [](std::string* params) {
-    Rng rng(17);
-    auto sc = sim::cooperative_lane_change();
-    auto cfg = fast_hero();
-    cfg.num_workers = 2;
-    core::HeroTrainer trainer(sc, cfg, rng);
-    std::vector<double> rewards;
-    trainer.train(6, rng, [&](int, const rl::EpisodeStats& s) {
-      rewards.push_back(s.team_reward);
-    });
-    *params = learner_params(trainer);
-    return rewards;
-  };
-  std::string p1, p2;
-  const auto r1 = run(&p1);
-  const auto r2 = run(&p2);
-  EXPECT_EQ(r1, r2);
-  EXPECT_EQ(p1, p2);
-}
-
 TEST(HeroParallel, ResultsInvariantToWorkerCount) {
-  // The determinism contract keys parallel results to (seed, num_envs) only:
-  // episode e always draws RNG stream e and explores from the learner's
-  // round-start ε position, so the worker count changes wall-clock, never
-  // trajectories (docs/PARALLELISM.md).
+  // Stage 2 is keyed to (seed, batch_envs) only: num_workers sizes the
+  // stage-1 skill pool and never changes stage-2 trajectories
+  // (docs/PARALLELISM.md).
   auto run = [](int workers, std::string* params) {
     Rng rng(23);
     auto sc = sim::cooperative_lane_change();
     auto cfg = fast_hero();
     cfg.num_workers = workers;
-    cfg.num_envs = 4;
     core::HeroTrainer trainer(sc, cfg, rng);
     std::vector<double> rewards;
     trainer.train(6, rng, [&](int, const rl::EpisodeStats& s) {
@@ -212,31 +189,11 @@ TEST(HeroParallel, ResultsInvariantToWorkerCount) {
     *params = learner_params(trainer);
     return rewards;
   };
-  std::string p2, p4;
-  const auto r2 = run(2, &p2);
+  std::string p1, p4;
+  const auto r1 = run(1, &p1);
   const auto r4 = run(4, &p4);
-  EXPECT_EQ(r2, r4);
-  EXPECT_EQ(p2, p4);
-}
-
-TEST(HeroParallel, HooksFireInCanonicalEpisodeOrder) {
-  Rng rng(29);
-  auto sc = sim::cooperative_lane_change();
-  auto cfg = fast_hero();
-  cfg.num_workers = 3;
-  core::HeroTrainer trainer(sc, cfg, rng);
-  std::vector<int> episodes;
-  trainer.train(7, rng, [&](int ep, const rl::EpisodeStats& s) {
-    episodes.push_back(ep);
-    EXPECT_GT(s.steps, 0);
-  });
-  std::vector<int> want(7);
-  for (int i = 0; i < 7; ++i) want[static_cast<std::size_t>(i)] = i;
-  EXPECT_EQ(episodes, want);
-  // The merged experience lands in the learner's buffers, not the replicas'.
-  for (int k = 0; k < trainer.num_agents(); ++k) {
-    EXPECT_GT(trainer.agent(k).high_level().buffered(), 0u);
-  }
+  EXPECT_EQ(r1, r4);
+  EXPECT_EQ(p1, p4);
 }
 
 TEST(HeroBatched, SameSeedRunsAreBitwiseIdentical) {

@@ -339,7 +339,6 @@ TEST(RunManifest, RoundTripsThroughSnapshotJson) {
   m.config_digest = config_digest("seed=7 episodes=2");
   m.seed = 1234567890123LL;
   m.num_workers = 4;
-  m.num_envs = 8;
   m.batch_envs = 16;
   set_run_manifest(m);
 

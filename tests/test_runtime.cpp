@@ -1,23 +1,18 @@
-// Unit tests for the parallel training runtime: thread pool scheduling,
-// counter-based RNG streams, and the sharded replay buffer's determinism
-// contract (docs/PARALLELISM.md).
+// Unit tests for the runtime layer: thread pool scheduling and the
+// counter-based RNG streams the determinism contract rests on
+// (docs/PARALLELISM.md).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <set>
 #include <vector>
 
 #include "runtime/rng_stream.h"
-#include "runtime/rollout.h"
-#include "runtime/sharded_replay.h"
 #include "runtime/thread_pool.h"
 
 namespace {
 
 using hero::Rng;
-using hero::runtime::RolloutRunner;
-using hero::runtime::ShardedReplay;
 using hero::runtime::ThreadPool;
 
 TEST(ThreadPool, ParallelForRunsEveryIndexExactlyOnce) {
@@ -55,7 +50,7 @@ TEST(ThreadPool, SubmitDrainsBeforeDestruction) {
 TEST(RngStream, StreamsAreStableAndDistinct) {
   // Same (seed, stream) → identical sequence; different stream or seed →
   // different sequence. This is the property the determinism contract
-  // rests on: a worker's draws depend only on the episode index.
+  // rests on: an episode's draws depend only on its index.
   Rng a = hero::runtime::stream_rng(42, 7);
   Rng b = hero::runtime::stream_rng(42, 7);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.engine()(), b.engine()());
@@ -66,118 +61,6 @@ TEST(RngStream, StreamsAreStableAndDistinct) {
   }
   EXPECT_EQ(first_draws.size(), 64u);
   EXPECT_NE(hero::runtime::stream_seed(1, 0), hero::runtime::stream_seed(2, 0));
-}
-
-TEST(RolloutRunner, EpisodeStreamsIndependentOfWorkerCount) {
-  // The first engine draw of each episode must not depend on how many pool
-  // threads execute the round — episode streams are keyed by index alone.
-  auto collect = [](std::size_t threads) {
-    ThreadPool pool(threads);
-    RolloutRunner runner(pool, /*root_seed=*/123);
-    std::vector<std::uint64_t> draws(24, 0);
-    runner.run_round(0, draws.size(), [&](std::size_t ep, std::size_t, Rng& rng) {
-      draws[ep] = rng.engine()();
-    });
-    return draws;
-  };
-  EXPECT_EQ(collect(1), collect(4));
-  EXPECT_EQ(collect(2), collect(8));
-}
-
-TEST(ShardedReplay, PushAndSizesPerShard) {
-  ShardedReplay<int> rb(/*total_capacity=*/40, /*num_shards=*/4);
-  EXPECT_EQ(rb.num_shards(), 4u);
-  EXPECT_EQ(rb.shard_capacity(), 10u);
-  rb.push(0, 1);
-  rb.push(0, 2);
-  rb.push(3, 3);
-  EXPECT_EQ(rb.shard_size(0), 2u);
-  EXPECT_EQ(rb.shard_size(1), 0u);
-  EXPECT_EQ(rb.shard_size(3), 1u);
-  EXPECT_EQ(rb.size(), 3u);
-}
-
-TEST(ShardedReplay, ShardRingOverwritesOldest) {
-  ShardedReplay<int> rb(/*total_capacity=*/4, /*num_shards=*/2);  // 2 per shard
-  rb.push(0, 1);
-  rb.push(0, 2);
-  rb.push(0, 3);  // overwrites 1
-  std::vector<int> got;
-  rb.drain_front(0, 2, [&](int&& v) { got.push_back(v); });
-  EXPECT_EQ(got, (std::vector<int>{2, 3}));
-  EXPECT_EQ(rb.shard_size(0), 0u);
-}
-
-TEST(ShardedReplay, DrainFrontIsFifoAndPartial) {
-  ShardedReplay<int> rb(/*total_capacity=*/30, /*num_shards=*/3);
-  for (int i = 0; i < 6; ++i) rb.push(1, i);
-  std::vector<int> got;
-  rb.drain_front(1, 4, [&](int&& v) { got.push_back(v); });
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(rb.shard_size(1), 2u);
-  got.clear();
-  rb.drain_front(1, 2, [&](int&& v) { got.push_back(v); });
-  EXPECT_EQ(got, (std::vector<int>{4, 5}));
-}
-
-TEST(ShardedReplay, SampleVisitsShardsRoundRobin) {
-  ShardedReplay<int> rb(/*total_capacity=*/30, /*num_shards=*/3);
-  // Shard s holds only the value s·100 (+i), shard 1 left empty.
-  for (int i = 0; i < 5; ++i) rb.push(0, 0 + i);
-  for (int i = 0; i < 5; ++i) rb.push(2, 200 + i);
-  Rng rng(7);
-  std::vector<int> out;
-  rb.sample(8, rng, out);
-  ASSERT_EQ(out.size(), 8u);
-  for (std::size_t k = 0; k < out.size(); ++k) {
-    // Non-empty shards are {0, 2}; draw k must come from shard (k % 2 ? 2 : 0).
-    const int expect_base = (k % 2 == 0) ? 0 : 200;
-    EXPECT_GE(out[k], expect_base);
-    EXPECT_LT(out[k], expect_base + 100);
-  }
-}
-
-TEST(ShardedReplay, SampleIsDeterministicForFixedSeed) {
-  ShardedReplay<int> rb(/*total_capacity=*/64, /*num_shards=*/4);
-  for (std::size_t s = 0; s < 4; ++s) {
-    for (int i = 0; i < 10; ++i) rb.push(s, static_cast<int>(s) * 100 + i);
-  }
-  Rng r1(99), r2(99);
-  std::vector<int> a, b;
-  rb.sample(32, r1, a);
-  rb.sample(32, r2, b);
-  EXPECT_EQ(a, b);
-}
-
-TEST(ShardedReplay, MergeRestoresEpisodeOrderAcrossSlots) {
-  // Simulates a round: episode e runs on slot e % 3 and pushes its items
-  // tagged with e; draining per episode in index order must reconstruct the
-  // canonical order no matter which slot held it.
-  ThreadPool pool(3);
-  RolloutRunner runner(pool, 1);
-  ShardedReplay<std::pair<int, int>> staging(/*total_capacity=*/300, /*num_shards=*/3);
-  constexpr int kEpisodes = 9;
-  std::vector<std::size_t> counts(kEpisodes, 0);
-  runner.run_round(0, kEpisodes, [&](std::size_t ep, std::size_t slot, Rng& rng) {
-    const std::size_t n = 2 + rng.index(3);
-    for (std::size_t i = 0; i < n; ++i) {
-      staging.push(slot, {static_cast<int>(ep), static_cast<int>(i)});
-    }
-    counts[ep] = n;
-  });
-  std::vector<std::pair<int, int>> merged;
-  for (int ep = 0; ep < kEpisodes; ++ep) {
-    staging.drain_front(ep % 3, counts[ep],
-                        [&](std::pair<int, int>&& v) { merged.push_back(v); });
-  }
-  ASSERT_EQ(merged.size(), std::accumulate(counts.begin(), counts.end(), 0u));
-  std::size_t k = 0;
-  for (int ep = 0; ep < kEpisodes; ++ep) {
-    for (std::size_t i = 0; i < counts[ep]; ++i, ++k) {
-      EXPECT_EQ(merged[k].first, ep);
-      EXPECT_EQ(merged[k].second, static_cast<int>(i));
-    }
-  }
 }
 
 }  // namespace

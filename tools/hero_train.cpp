@@ -6,7 +6,7 @@
 //              [--scenario cfg.json] [--scenario-vehicles N]
 //              [--synchronous-termination] [--curves prefix]
 //              [--hl-warmup N] [--hl-batch N]
-//              [--num-workers N] [--num-envs N] [--batch-envs N]
+//              [--num-workers N] [--batch-envs N]
 //              [--metrics-out m.json] [--trace-out t.json]
 //              [--telemetry-out run.jsonl]
 //
@@ -14,16 +14,13 @@
 // batch size (smoke runs shrink them so gradient updates happen within a
 // couple of episodes).
 //
-// `--num-workers N` collects stage-2 episodes on N worker threads (and runs
-// stage-1 skill training on the same pool); `--num-envs` sets how many
-// environment instances a round spans (default: one per worker). Results
-// are keyed to (seed, num_envs) and invariant to the worker count — see
-// docs/PARALLELISM.md for the determinism contract.
+// `--num-workers N` trains the stage-1 skills as N-wide pool tasks; it does
+// not change stage 2 (docs/PARALLELISM.md).
 //
-// `--batch-envs N` switches stage 2 to the single-threaded batch-first
-// rollout engine instead: N episodes step in lockstep through a vectorized
-// world with batched network evaluation (docs/BATCHING.md). Takes
-// precedence over --num-workers; results are keyed to (seed, batch_envs).
+// `--batch-envs N` sets the stage-2 collection width: N episodes step in
+// lockstep through a vectorized world with batched network evaluation on
+// one thread (docs/BATCHING.md); the default 0 runs one episode at a time,
+// like 1. Stage-2 results are keyed to (seed, batch_envs).
 //
 // `--scenario cfg.json` trains on a declarative scenario config (e.g.
 // scenarios/dense_traffic.json) instead of the built-in cooperative
@@ -63,7 +60,6 @@ int main(int argc, char** argv) {
   const int hl_warmup = flags.get_int("hl-warmup", -1);
   const int hl_batch = flags.get_int("hl-batch", -1);
   const int num_workers = flags.get_int("num-workers", 1);
-  const int num_envs = flags.get_int("num-envs", 0);
   const int batch_envs = flags.get_int("batch-envs", 0);
   const int hidden = flags.get_int("hidden", 0);
   const obs::Outputs obs_out = obs::configure(flags);
@@ -87,7 +83,6 @@ int main(int argc, char** argv) {
   if (hl_warmup >= 0) cfg.high.warmup_transitions = static_cast<std::size_t>(hl_warmup);
   if (hl_batch > 0) cfg.high.batch = static_cast<std::size_t>(hl_batch);
   cfg.num_workers = std::max(1, num_workers);
-  cfg.num_envs = std::max(0, num_envs);
   cfg.batch_envs = std::max(0, batch_envs);
   if (hidden > 0) {
     // Serving-scale networks (docs/SERVING.md): one knob widens every net.
@@ -109,7 +104,6 @@ int main(int argc, char** argv) {
     obs::RunManifest manifest = obs::default_manifest("hero_train");
     manifest.seed = static_cast<long long>(seed);
     manifest.num_workers = cfg.num_workers;
-    manifest.num_envs = cfg.num_envs;
     manifest.batch_envs = cfg.batch_envs;
     manifest.config_digest = obs::config_digest(canonical);
     obs::set_run_manifest(manifest);

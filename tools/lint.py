@@ -60,7 +60,7 @@ Rules (docs/CORRECTNESS.md):
                         is forbidden in result-affecting code under src/hero,
                         src/algos, src/rl, src/sim — iteration order depends
                         on hashing/libstdc++ internals, leaks into results and
-                        breaks the (seed, num_envs) determinism key. Iterate a
+                        breaks the (seed, batch_envs) determinism key. Iterate a
                         sorted container (std::map) or sort keys first.
 
 A violation on a line whose source carries a `lint-allow(Rn): reason`
@@ -338,7 +338,7 @@ class NoRawMutex(Rule):
 
 class NoUnorderedIteration(Rule):
     rid, name = "R9", "no-unordered-iteration-in-deterministic-paths"
-    # Result-affecting subsystems keyed by the (seed, num_envs) determinism
+    # Result-affecting subsystems keyed by the (seed, batch_envs) determinism
     # contract. obs/, viz/, serve/ and tooling may iterate unordered
     # containers (their output is either unordered-by-design or sorted at
     # the exporter).

@@ -4,7 +4,8 @@
 #   tools/monitor_smoke.sh [build_dir]
 #
 #   1. healthy pass — a tiny instrumented hero_train run with rolling
-#      snapshots (--metrics-every) must leave a parseable snapshot, and
+#      snapshots (--metrics-every) must leave a parseable snapshot, report a
+#      positive steps_per_sec on every stage2/episode event, and
 #      `hero_monitor --once` over its artifacts must exit 0.
 #   2. flag parity — hero_train and hero_eval must both reject
 #      --metrics-every without --metrics-out (usage error, exit 2).
@@ -43,6 +44,18 @@ grep -q '"manifest"' "$work/m.json" \
     || { echo "FAIL: snapshot carries no run manifest"; exit 1; }
 grep -q '"event": "run_start"' "$work/run.jsonl" \
     || { echo "FAIL: telemetry carries no run_start manifest"; exit 1; }
+python3 - "$work/run.jsonl" <<'EOF' || exit 1
+import json, sys
+
+events = [json.loads(line) for line in open(sys.argv[1]) if line.strip()]
+eps = [e for e in events if e["event"] == "stage2/episode"]
+if not eps:
+    sys.exit("FAIL: telemetry carries no stage2/episode events")
+slow = [e["episode"] for e in eps if not e.get("steps_per_sec", 0) > 0]
+if slow:
+    sys.exit(f"FAIL: stage2/episode without a positive steps_per_sec: {slow}")
+print(f"ok: {len(eps)} stage2/episode events report steps_per_sec > 0")
+EOF
 
 if ! "$monitor" --metrics "$work/m.json" --telemetry "$work/run.jsonl" --once \
         > "$work/monitor_healthy.log"; then
