@@ -19,6 +19,7 @@
 //
 // Run:  ./bench_json [--nn-out F] [--train-out F] [--min-time SECONDS]
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -40,6 +41,7 @@
 #include "sim/batch_lane_world.h"
 #include "sim/lane_world.h"
 #include "sim/scenario.h"
+#include "support/sim_oracle.h"
 
 namespace {
 
@@ -367,23 +369,79 @@ void run_batch_cases(std::vector<TrainSlice>& out) {
   }
 }
 
+// The sensing pass the spatial index replaced, timed as the all-pairs
+// baseline of the V128 ratio gate: per learner, every other vehicle through
+// the reach prune into the every-beam lidar narrow phase, then the camera's
+// lead search over every vehicle. The narrow phase and the camera are the
+// test oracle's helpers (tests/support/sim_oracle.h); the reach-pruned
+// staging is the production staging minus its index query.
+class AllPairsSensing {
+ public:
+  void run(const hero::sim::BatchLaneWorld& world, double* hl, double* ll) {
+    using namespace hero::sim;
+    const LaneWorldConfig& cfg = world.config();
+    const Track& track = world.track();
+    const std::size_t v = static_cast<std::size_t>(world.num_vehicles());
+    x_.resize(v);
+    y_.resize(v);
+    heading_.resize(v);
+    speed_.resize(v);
+    boxes_.resize(v);
+    for (std::size_t i = 0; i < v; ++i) {
+      const VehicleState s = world.state(0, static_cast<int>(i));
+      x_[i] = s.x;
+      y_[i] = s.y;
+      heading_[i] = s.heading;
+      speed_[i] = s.speed;
+    }
+    const double half_len = 0.5 * cfg.vehicle.length;
+    const double half_wid = 0.5 * cfg.vehicle.width;
+    const double thr = cfg.lidar.max_range + std::hypot(half_len, half_wid) + 1e-9;
+    const std::size_t beams = static_cast<std::size_t>(cfg.lidar.num_beams);
+    for (const int vi : world.learners()) {
+      const std::size_t ego = static_cast<std::size_t>(vi);
+      const int lane = world.lane(0, vi);
+      std::size_t nb = 0;
+      for (std::size_t i = 0; i < v; ++i) {
+        if (i == ego) continue;
+        const double dx = track.signed_dx(x_[ego], x_[i]);
+        const double dy = y_[i] - y_[ego];
+        if (dx * dx + dy * dy > thr * thr) continue;
+        boxes_[nb++] = Obb{{x_[ego] + dx, y_[i]}, heading_[i], half_len, half_wid};
+      }
+      oracle::scan_allpairs(cfg.lidar, x_[ego], y_[ego], heading_[ego], boxes_.data(),
+                            nb, nullptr, hl);
+      hl[beams] = speed_[ego] / cfg.vehicle.max_speed;
+      hl[beams + 1] = static_cast<double>(lane);
+      oracle::camera_allpairs(cfg.camera, world.state(0, vi), cfg.vehicle.max_speed,
+                              x_.data(), y_.data(), speed_.data(), v, ego, track, lane,
+                              nullptr, ll);
+      ll[kLaneCameraDim] = speed_[ego] / cfg.vehicle.max_speed;
+      ll[kLaneCameraDim + 1] = static_cast<double>(lane);
+    }
+  }
+
+ private:
+  std::vector<double> x_, y_, heading_, speed_;
+  std::vector<hero::sim::Obb> boxes_;
+};
+
 // Dense-traffic sensing entries (docs/PERFORMANCE.md, "Spatial neighbor
 // index"): one env of the declarative dense scenario at V vehicles, where
 // each measured step is a step_all PLUS a full sensing pass — high- and
 // low-level obs for every learner, the per-step perception cost a rollout
 // actually pays and the part that is O(V²) without the index.
-// BM_BatchStep/V128_allpairs re-times V=128 with use_spatial_index off
-// (all-pairs staging, uncull lidar narrow phase) in the same run;
+// BM_BatchStep/V128_allpairs re-times V=128 in the same run with
+// AllPairsSensing in place of the world's indexed obs calls;
 // tools/run_benchmarks.sh asserts the indexed entry is ≥ 4× faster.
 void run_dense_cases(const std::string& scenario_path,
                      std::vector<TrainSlice>& out) {
   using namespace hero;
 
   const auto dense_case = [&](const std::string& name, int vehicles,
-                              bool use_index, long steps_target) {
+                              bool all_pairs, long steps_target) {
     out.push_back(time_train(name, [&] {
-      sim::Scenario sc = sim::load_scenario(scenario_path, vehicles);
-      sc.config.use_spatial_index = use_index;
+      const sim::Scenario sc = sim::load_scenario(scenario_path, vehicles);
       sim::BatchLaneWorld world(sc.config, /*num_envs=*/1);
       Rng rng(1);
       Rng* rng_ptr = &rng;
@@ -395,9 +453,14 @@ void run_dense_cases(const std::string& scenario_path,
       std::vector<double> hl(world.high_level_obs_dim());
       std::vector<double> ll(world.low_level_obs_dim());
       sim::BatchStepResult res;
+      AllPairsSensing reference;
       for (long s = 0; s < steps_target; ++s) {
         if (world.done(0)) world.reset_env(0, rng);
         world.step_all(cmds.data(), &rng_ptr, &active, res);
+        if (all_pairs) {
+          reference.run(world, hl.data(), ll.data());
+          continue;
+        }
         for (int k = 0; k < world.num_learners(); ++k) {
           const int vi = world.learners()[static_cast<std::size_t>(k)];
           world.high_level_obs_into(0, vi, hl.data());
@@ -408,10 +471,10 @@ void run_dense_cases(const std::string& scenario_path,
     }));
   };
 
-  dense_case("BM_BatchStep/V64", 64, /*use_index=*/true, 3000);
-  dense_case("BM_BatchStep/V128", 128, /*use_index=*/true, 1500);
-  dense_case("BM_BatchStep/V256", 256, /*use_index=*/true, 750);
-  dense_case("BM_BatchStep/V128_allpairs", 128, /*use_index=*/false, 1500);
+  dense_case("BM_BatchStep/V64", 64, /*all_pairs=*/false, 3000);
+  dense_case("BM_BatchStep/V128", 128, /*all_pairs=*/false, 1500);
+  dense_case("BM_BatchStep/V256", 256, /*all_pairs=*/false, 750);
+  dense_case("BM_BatchStep/V128_allpairs", 128, /*all_pairs=*/true, 1500);
 
   // Full HERO batched rollout on the dense scene: 48 learners × 4 lockstep
   // envs through selection, skills and opponent prediction.

@@ -34,7 +34,7 @@ class RuleController : public hero::rl::Controller {
                             bool explore) override {
     (void)rng;
     (void)explore;
-    const auto& mst = world.vehicle(merger_).state();
+    const auto mst = world.state(merger_);
     const double target_c = world.track().lane_center(1);
     // Commit/terminate the merge manoeuvre (mirrors an option's β_o): start
     // when blocked, finish only when settled in the target lane.
@@ -55,11 +55,11 @@ class RuleController : public hero::rl::Controller {
       if (vi == merger_) {
         const int goal_lane = merging_ ? 1 : world.lane(vi);
         const double y_err = world.track().lane_center(goal_lane) -
-                             world.vehicle(vi).state().y;
+                             world.state(vi).y;
         const double theta_des = std::clamp(2.5 * y_err, -0.6, 0.6);
         const double w_cap = merging_ ? 0.25 : 0.1;
         const double w = std::clamp(
-            (theta_des - world.vehicle(vi).state().heading) / world.config().dt,
+            (theta_des - world.state(vi).heading) / world.config().dt,
             -w_cap, w_cap);
         const double v = merging_ ? 0.14 : (front_gap < 0.2 ? 0.05 : 0.12);
         cmds.push_back({v, w});
@@ -83,7 +83,7 @@ void render(const LaneWorld& world) {
   const double c = world.track().circumference();
   std::vector<std::string> rows(2, std::string(kCols, '.'));
   for (int i = 0; i < world.num_vehicles(); ++i) {
-    const auto& st = world.vehicle(i).state();
+    const auto st = world.state(i);
     const int col =
         std::min(kCols - 1, static_cast<int>(st.x / c * kCols));
     const int lane = world.lane(i);

@@ -39,7 +39,7 @@ void HeroAgent::select(const sim::LaneWorld& world, int vehicle, Rng& rng,
   } else {
     exec_.target_lane = world.lane(vehicle);
   }
-  exec_.hold_speed = world.vehicle(vehicle).state().speed;
+  exec_.hold_speed = world.state(vehicle).speed;
 }
 
 void HeroAgent::select_initial(const sim::LaneWorld& world, int vehicle, Rng& rng,

@@ -34,7 +34,7 @@ OptionActionSpace option_action_space(Option o) {
 
 bool option_terminated(const OptionExecution& exec, const sim::LaneWorld& world,
                        int vehicle, const TerminationConfig& cfg) {
-  const auto& st = world.vehicle(vehicle).state();
+  const sim::VehicleState st = world.state(vehicle);
   return option_terminated(exec, world.track(), st.y, st.heading, world.done(),
                            cfg);
 }
@@ -42,7 +42,7 @@ bool option_terminated(const OptionExecution& exec, const sim::LaneWorld& world,
 LaneChangeOutcome lane_change_outcome(const OptionExecution& exec,
                                       const sim::LaneWorld& world, int vehicle,
                                       const TerminationConfig& cfg) {
-  const auto& st = world.vehicle(vehicle).state();
+  const sim::VehicleState st = world.state(vehicle);
   return lane_change_outcome(exec, world.track(), st.y, st.heading, world.done(),
                              cfg);
 }
@@ -76,7 +76,7 @@ LaneChangeOutcome lane_change_outcome(const OptionExecution& exec,
 
 double driving_in_lane_reward(const sim::LaneWorld& world, int vehicle,
                               double travel_m, const IntrinsicRewardConfig& cfg) {
-  const auto& st = world.vehicle(vehicle).state();
+  const sim::VehicleState st = world.state(vehicle);
   const int lane = world.lane(vehicle);
   const double deviate =
       std::abs(st.y - world.track().lane_center(lane)) /

@@ -44,7 +44,7 @@ std::vector<double> SkillBank::policy_action(Option o, const std::vector<double>
 sim::TwistCmd SkillBank::to_twist(const OptionExecution& exec,
                                   const sim::LaneWorld& world, int vehicle,
                                   const std::vector<double>& action) const {
-  const auto& st = world.vehicle(vehicle).state();
+  const sim::VehicleState st = world.state(vehicle);
   return to_twist_core(exec, world.track(), world.config().dt, st.y, st.heading,
                        action.data(), action.size());
 }
@@ -99,9 +99,10 @@ std::vector<double> SkillBank::train_skill(
     world.reset(rng);
     // Start-state randomization: lateral offset and heading jitter force the
     // skills to learn recovery, not just straight-line driving.
-    auto& st = world.mutable_vehicle(vehicle).mutable_state();
+    sim::VehicleState st = world.state(vehicle);
     st.y += rng.uniform(-0.3, 0.3) * 0.5 * world.track().lane_width();
     st.heading = rng.uniform(-0.2, 0.2);
+    world.set_state(vehicle, st);
 
     OptionExecution exec;
     exec.option = o;

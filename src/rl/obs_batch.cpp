@@ -54,7 +54,7 @@ void ObsBatch::set_slot_from_world(std::size_t s, const sim::LaneWorld& world,
   m.active = true;
   for (int k = 0; k < n_; ++k) {
     const int vi = world.learners()[static_cast<std::size_t>(k)];
-    const auto& st = world.vehicle(vi).state();
+    const sim::VehicleState st = world.state(vi);
     AgentScalars& sc = scalars(s, k);
     sc.y = st.y;
     sc.heading = st.heading;

@@ -118,22 +118,4 @@ void ThreadPool::parallel_for(std::size_t n,
   latch->wait();
 }
 
-void ThreadPool::parallel_for_slots(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t slots = std::min(size(), n);
-  if (slots == 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i, 0);
-    return;
-  }
-  auto latch = std::make_shared<Latch>(slots);
-  for (std::size_t s = 0; s < slots; ++s) {
-    submit([latch, s, slots, n, &fn] {
-      for (std::size_t i = s; i < n; i += slots) fn(i, s);
-      latch->count_down(1);
-    });
-  }
-  latch->wait();
-}
-
 }  // namespace hero::runtime

@@ -2,8 +2,8 @@
 //
 // This is the only place in src/ allowed to own raw std::thread objects
 // (enforced by tools/lint.py rule R5): every other subsystem expresses
-// parallelism as parallel_for / parallel_for_slots calls so the determinism
-// contract in docs/PARALLELISM.md is auditable in one file.
+// parallelism as parallel_for calls so the determinism contract in
+// docs/PARALLELISM.md is auditable in one file.
 //
 // Scheduling model:
 //   * submit()              — fire-and-forget task on the shared FIFO queue.
@@ -11,11 +11,6 @@
 //                             dynamically (atomic counter), so work product is
 //                             deterministic as long as fn(i) writes only to
 //                             index-addressed state. Blocks until all done.
-//   * parallel_for_slots    — static round-robin partition: slot s runs
-//                             indices s, s + S, s + 2S, … and no two indices
-//                             of the same slot ever run concurrently. Callers
-//                             use the slot id to pick a worker-exclusive
-//                             replica (env, network clone, RNG scratch).
 //
 // Tasks must not throw (errors in this codebase abort via HERO_CHECK) and
 // must not submit nested parallel_for calls from inside pool workers — the
@@ -52,11 +47,6 @@ class ThreadPool {
 
   // Dynamic-claim parallel loop; blocks until every index has run.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  // Static-partition parallel loop over min(size(), n) slots; fn receives
-  // (index, slot). Blocks until every index has run.
-  void parallel_for_slots(std::size_t n,
-                          const std::function<void(std::size_t, std::size_t)>& fn);
 
  private:
   void worker_loop() HERO_EXCLUDES(mu_);

@@ -21,7 +21,7 @@ void fill_request_from_world(const sim::LaneWorld& world, bool reset,
 
   for (std::size_t k = 0; k < n; ++k) {
     const int vi = world.learners()[k];
-    const auto& st = world.vehicle(vi).state();
+    const sim::VehicleState st = world.state(vi);
     req->y[k] = st.y;
     req->heading[k] = st.heading;
     req->speed[k] = st.speed;

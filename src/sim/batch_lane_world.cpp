@@ -8,6 +8,15 @@
 
 namespace hero::sim {
 
+LaneWorldConfig with_real_world_shift(LaneWorldConfig cfg) {
+  cfg.lidar.noise_stddev = 0.02;
+  cfg.camera.noise_stddev = 0.02;
+  cfg.actuation_noise = 0.08;
+  cfg.actuation_latency = 1;
+  cfg.param_jitter = 0.08;
+  return cfg;
+}
+
 BatchLaneWorld::BatchLaneWorld(const LaneWorldConfig& cfg, int num_envs)
     : cfg_(cfg),
       track_(cfg.track),
@@ -44,12 +53,11 @@ BatchLaneWorld::BatchLaneWorld(const LaneWorldConfig& cfg, int num_envs)
 
   exec_.assign(total, TwistCmd{});
   hit_.assign(total, 0);
-  order_.assign(static_cast<std::size_t>(V_), 0);
   obs_boxes_.assign(static_cast<std::size_t>(V_), Obb{});
   indices_.resize(static_cast<std::size_t>(E_));
   idx_dirty_.assign(static_cast<std::size_t>(E_), 1);
 
-  // Match the serial constructor: every env starts in the dummy-reset state.
+  // Every env starts in the state a reset with seed 0 produces.
   for (int e = 0; e < E_; ++e) {
     Rng dummy(0);
     reset_env(e, dummy);
@@ -72,8 +80,8 @@ void BatchLaneWorld::reset_env(int e, Rng& rng) {
     heading_drift_[idx] = 0.0;
     hit_[idx] = 0;
 
-    // Same draw order as LaneWorld::reset: start jitter, then (real-world
-    // mode only) the per-episode dynamics perturbation pair.
+    // Draw order: start jitter, then (real-world mode only) the per-episode
+    // dynamics perturbation pair.
     x_[idx] = track_.wrap_x(sp.start_x +
                             rng.uniform(-sp.start_x_jitter, sp.start_x_jitter));
     y_[idx] = track_.lane_center(sp.start_lane);
@@ -111,7 +119,10 @@ void BatchLaneWorld::step_all(const TwistCmd* cmds, Rng* const* rngs,
     if (active[e]) ++steps_[static_cast<std::size_t>(e)];
   }
 #if HERO_DEBUG_CHECKS_ENABLED
-  // Same post-integration invariants as the serial world, per live env.
+  // Post-integration invariants, per live env: states stay finite,
+  // arc-length stays wrapped into [0, C), and speeds respect the vehicle
+  // envelope. An excursion here means the integrator (not the policy)
+  // broke — catch it at the step that produced it.
   for (int e = 0; e < E_; ++e) {
     if (!active[e]) continue;
     for (int i = 0; i < V_; ++i) {
@@ -157,9 +168,9 @@ void BatchLaneWorld::step_resolve(const TwistCmd* cmds, Rng* const* rngs,
       const std::size_t idx = flat(e, vi);
       TwistCmd cmd = cmds[static_cast<std::size_t>(e) * n + k];
       if (cfg_.actuation_latency > 0) {
-        // Fixed-capacity ring replicating the serial push-then-pop-front
-        // queue: while filling, hold the pre-step speed with no steering;
-        // once full, execute the oldest command and reuse its slot.
+        // Fixed-capacity push-then-pop-front queue: while filling, hold the
+        // pre-step speed with no steering; once full, execute the oldest
+        // command and reuse its slot.
         const std::size_t base = idx * static_cast<std::size_t>(lat_cap_);
         if (lat_count_[idx] < lat_cap_) {
           const int slot = (lat_head_[idx] + lat_count_[idx]) % lat_cap_;
@@ -174,8 +185,8 @@ void BatchLaneWorld::step_resolve(const TwistCmd* cmds, Rng* const* rngs,
           cmd = oldest;
         }
       }
-      // LaneWorld::perturbed(): miscalibration always applies, noise draws
-      // only in real-world mode — draw order matches the serial path.
+      // Actuator perturbation: miscalibration always applies, noise draws
+      // only in real-world mode (linear, then angular).
       cmd.linear *= speed_gain_[idx];
       cmd.angular += heading_drift_[idx];
       if (cfg_.actuation_noise > 0.0) {
@@ -221,35 +232,15 @@ void BatchLaneWorld::step_collide(const std::uint8_t* active,
     const std::size_t base = flat(e, 0);
     for (int i = 0; i < V_; ++i) hit_[base + static_cast<std::size_t>(i)] = 0;
 
-    // Broad-phase: sort vehicles by wrapped arc length, then sweep each
-    // vehicle's cyclic successors until the ring gap exceeds 2·reach —
-    // beyond that no footprint pair can overlap, so the narrow-phase SAT
-    // set is identical to the serial all-pairs loop. With the spatial index
-    // enabled the sorted order is the per-env SpatialIndex, built here once
-    // and reused by every obs call of this step; otherwise a local
-    // insertion sort (V is small in the paper scenarios) reproduces the
-    // same (position, id) order.
-    const int* ord = nullptr;
-    if (cfg_.use_spatial_index) {
-      SpatialIndex& idx = indices_[static_cast<std::size_t>(e)];
-      idx.build(&x_[base], V_, circ);
-      idx_dirty_[static_cast<std::size_t>(e)] = 0;
-      ord = idx.ids();
-    } else {
-      for (int i = 0; i < V_; ++i) order_[static_cast<std::size_t>(i)] = i;
-      for (int i = 1; i < V_; ++i) {
-        const int v = order_[static_cast<std::size_t>(i)];
-        int j = i - 1;
-        while (j >= 0 &&
-               x_[base + static_cast<std::size_t>(order_[static_cast<std::size_t>(j)])] >
-                   x_[base + static_cast<std::size_t>(v)]) {
-          order_[static_cast<std::size_t>(j + 1)] = order_[static_cast<std::size_t>(j)];
-          --j;
-        }
-        order_[static_cast<std::size_t>(j + 1)] = v;
-      }
-      ord = order_.data();
-    }
+    // Broad-phase: sort vehicles by wrapped arc length (the per-env
+    // SpatialIndex, built here once and reused by every obs call of this
+    // step), then sweep each vehicle's cyclic successors until the ring gap
+    // exceeds 2·reach — beyond that no footprint pair can overlap, so the
+    // narrow-phase SAT set is identical to testing all pairs.
+    SpatialIndex& index = indices_[static_cast<std::size_t>(e)];
+    index.build(&x_[base], V_, circ);
+    idx_dirty_[static_cast<std::size_t>(e)] = 0;
+    const int* ord = index.ids();
 
     for (int a = 0; a < V_; ++a) {
       const int ia = ord[static_cast<std::size_t>(a)];
@@ -261,7 +252,7 @@ void BatchLaneWorld::step_collide(const std::uint8_t* active,
         if (b < a) gap += circ;  // cyclic successor wrapped past the seam
         if (gap > near) break;   // sorted ⇒ later successors are farther
 
-        // Narrow phase: exactly the serial pair test, reference = lower id.
+        // Narrow phase: the SAT pair test, reference = lower id.
         const std::size_t pi = base + static_cast<std::size_t>(std::min(ia, ib));
         const std::size_t pj = base + static_cast<std::size_t>(std::max(ia, ib));
         Obb oa{{x_[pi], y_[pi]}, heading_[pi], 0.5 * cfg_.vehicle.length,
@@ -291,7 +282,9 @@ void BatchLaneWorld::step_collide(const std::uint8_t* active,
 void BatchLaneWorld::step_rewards(const std::uint8_t* active,
                                   BatchStepResult& out) {
   const std::size_t n = learners_.size();
-  // Same reward shape as LaneWorld::step (paper Sec. IV-B).
+  // High-level team reward (paper Sec. IV-B):
+  //   r_h^i = α·r_col + (1−α)·r_travel^i
+  // with r_travel normalized by the per-step distance at max RL speed.
   const double travel_norm = 0.2 * cfg_.dt;  // 0.2 m/s is the top RL speed bound
   for (int e = 0; e < E_; ++e) {
     if (!active[e]) continue;
@@ -337,39 +330,23 @@ void BatchLaneWorld::high_level_obs_into(int e, int vehicle, double* out,
   // without the libm call.
   const double thr = cfg_.lidar.max_range + reach_ + 1e-9;
   std::size_t nb = 0;
-  if (cfg_.use_spatial_index) {
-    // Arc-window query first: |signed_dx| ≤ hypot(dx, dy), so the window of
-    // half-width thr is a superset of everything the fine prune keeps.
-    const int* ids = nullptr;
-    // Rank-order candidates: the scan reduces each beam to a minimum over
-    // ray casts, so staging order cannot change the output.
-    const int k =
-        ensure_index(e).query_unordered(x_[ego], thr, thr, vehicle, &ids);
-    for (int c = 0; c < k; ++c) {
-      const std::size_t idx = base + static_cast<std::size_t>(ids[c]);
-      const double dx = track_.signed_dx(x_[ego], x_[idx]);
-      const double dy = y_[idx] - y_[ego];
-      if (dx * dx + dy * dy > thr * thr) continue;
-      obs_boxes_[nb] = Obb{{x_[ego] + dx, y_[idx]}, heading_[idx],
-                           0.5 * cfg_.vehicle.length, 0.5 * cfg_.vehicle.width};
-      ++nb;
-    }
-    lidar_.scan_into(x_[ego], y_[ego], heading_[ego], obs_boxes_.data(), nb,
-                     noise_rng, out);
-  } else {
-    for (int i = 0; i < V_; ++i) {
-      if (i == vehicle) continue;
-      const std::size_t idx = base + static_cast<std::size_t>(i);
-      const double dx = track_.signed_dx(x_[ego], x_[idx]);
-      const double dy = y_[idx] - y_[ego];
-      if (dx * dx + dy * dy > thr * thr) continue;
-      obs_boxes_[nb] = Obb{{x_[ego] + dx, y_[idx]}, heading_[idx],
-                           0.5 * cfg_.vehicle.length, 0.5 * cfg_.vehicle.width};
-      ++nb;
-    }
-    lidar_.scan_into_allpairs(x_[ego], y_[ego], heading_[ego],
-                              obs_boxes_.data(), nb, noise_rng, out);
+  // Arc-window query first: |signed_dx| ≤ hypot(dx, dy), so the window of
+  // half-width thr is a superset of everything the fine prune keeps.
+  const int* ids = nullptr;
+  // Rank-order candidates: the scan reduces each beam to a minimum over ray
+  // casts, so staging order cannot change the output.
+  const int k = ensure_index(e).query_unordered(x_[ego], thr, thr, vehicle, &ids);
+  for (int c = 0; c < k; ++c) {
+    const std::size_t idx = base + static_cast<std::size_t>(ids[c]);
+    const double dx = track_.signed_dx(x_[ego], x_[idx]);
+    const double dy = y_[idx] - y_[ego];
+    if (dx * dx + dy * dy > thr * thr) continue;
+    obs_boxes_[nb] = Obb{{x_[ego] + dx, y_[idx]}, heading_[idx],
+                         0.5 * cfg_.vehicle.length, 0.5 * cfg_.vehicle.width};
+    ++nb;
   }
+  lidar_.scan_into(x_[ego], y_[ego], heading_[ego], obs_boxes_.data(), nb,
+                   noise_rng, out);
   const std::size_t beams = static_cast<std::size_t>(cfg_.lidar.num_beams);
   out[beams] = speed_[ego] / cfg_.vehicle.max_speed;
   out[beams + 1] = static_cast<double>(track_.lane_of(y_[ego]));
@@ -381,10 +358,8 @@ void BatchLaneWorld::low_level_obs_into(int e, int vehicle, int reference_lane,
   const std::size_t ego = base + static_cast<std::size_t>(vehicle);
   const VehicleState s{x_[ego], y_[ego], heading_[ego], speed_[ego], yaw_[ego]};
   camera_.features_into(s, cfg_.vehicle.max_speed, &x_[base], &y_[base],
-                        &speed_[base], static_cast<std::size_t>(V_),
-                        static_cast<std::size_t>(vehicle), track_, reference_lane,
-                        noise_rng,
-                        cfg_.use_spatial_index ? &ensure_index(e) : nullptr, out);
+                        &speed_[base], static_cast<std::size_t>(vehicle), track_,
+                        reference_lane, noise_rng, ensure_index(e), out);
   out[kLaneCameraDim] = speed_[ego] / cfg_.vehicle.max_speed;
   out[kLaneCameraDim + 1] = static_cast<double>(track_.lane_of(y_[ego]));
 }

@@ -11,40 +11,12 @@ LaneCamera::LaneCamera(const LaneCameraConfig& cfg) : cfg_(cfg) {
   HERO_CHECK(cfg_.lead_range > 0.0);
 }
 
-std::vector<double> LaneCamera::features(const Vehicle& ego,
-                                         const std::vector<Vehicle>& all,
-                                         std::size_t ego_index, const Track& track,
-                                         int reference_lane, Rng* noise_rng) const {
-  // Stage the scene as parallel state arrays and run the shared core.
-  std::vector<double> xs(all.size()), ys(all.size()), speeds(all.size());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    xs[i] = all[i].state().x;
-    ys[i] = all[i].state().y;
-    speeds[i] = all[i].state().speed;
-  }
-  std::vector<double> f(kLaneCameraDim);
-  features_into(ego.state(), ego.params().max_speed, xs.data(), ys.data(),
-                speeds.data(), all.size(), ego_index, track, reference_lane,
-                noise_rng, f.data());
-  return f;
-}
-
 void LaneCamera::features_into(const VehicleState& s, double ego_max_speed,
                                const double* xs, const double* ys,
-                               const double* speeds, std::size_t n,
-                               std::size_t ego_index, const Track& track,
-                               int reference_lane, Rng* noise_rng,
+                               const double* speeds, std::size_t ego_index,
+                               const Track& track, int reference_lane,
+                               Rng* noise_rng, const SpatialIndex& index,
                                double* out) const {
-  features_into(s, ego_max_speed, xs, ys, speeds, n, ego_index, track,
-                reference_lane, noise_rng, /*index=*/nullptr, out);
-}
-
-void LaneCamera::features_into(const VehicleState& s, double ego_max_speed,
-                               const double* xs, const double* ys,
-                               const double* speeds, std::size_t n,
-                               std::size_t ego_index, const Track& track,
-                               int reference_lane, Rng* noise_rng,
-                               const SpatialIndex* index, double* out) const {
   const double w = track.lane_width();
   const double ref_c = track.lane_center(reference_lane);
   const int ego_lane = track.lane_of(s.y);
@@ -56,28 +28,16 @@ void LaneCamera::features_into(const VehicleState& s, double ego_max_speed,
   // visit order, so ties resolve to the same vehicle.
   double gap = cfg_.lead_range;
   double lead_rel_speed = 0.0;
-  if (index) {
-    const int* ids = nullptr;
-    const int k = index->query(s.x, 0.0, cfg_.lead_range,
-                               static_cast<int>(ego_index), &ids);
-    for (int c = 0; c < k; ++c) {
-      const std::size_t i = static_cast<std::size_t>(ids[c]);
-      if (track.lane_of(ys[i]) != ego_lane) continue;
-      const double d = track.forward_gap(s.x, xs[i]);
-      if (d < gap) {
-        gap = d;
-        lead_rel_speed = speeds[i] - s.speed;
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i == ego_index) continue;
-      if (track.lane_of(ys[i]) != ego_lane) continue;
-      const double d = track.forward_gap(s.x, xs[i]);
-      if (d < gap) {
-        gap = d;
-        lead_rel_speed = speeds[i] - s.speed;
-      }
+  const int* ids = nullptr;
+  const int k = index.query(s.x, 0.0, cfg_.lead_range,
+                            static_cast<int>(ego_index), &ids);
+  for (int c = 0; c < k; ++c) {
+    const std::size_t i = static_cast<std::size_t>(ids[c]);
+    if (track.lane_of(ys[i]) != ego_lane) continue;
+    const double d = track.forward_gap(s.x, xs[i]);
+    if (d < gap) {
+      gap = d;
+      lead_rel_speed = speeds[i] - s.speed;
     }
   }
 

@@ -6,8 +6,6 @@
 // vector — see DESIGN.md §2 for why this preserves the control problem.
 #pragma once
 
-#include <vector>
-
 #include "common/rng.h"
 #include "sim/vehicle.h"
 
@@ -37,31 +35,21 @@ class LaneCamera {
  public:
   explicit LaneCamera(const LaneCameraConfig& cfg = {});
 
-  std::vector<double> features(const Vehicle& ego, const std::vector<Vehicle>& all,
-                               std::size_t ego_index, const Track& track,
-                               int reference_lane, Rng* noise_rng = nullptr) const;
-
   // Zero-allocation feature core over raw per-vehicle state arrays (the SoA
-  // views of the batched world). `xs`/`ys`/`speeds` hold all `n` vehicles of
-  // the scene including the ego at `ego_index`; writes kLaneCameraDim
-  // doubles to `out`. features() delegates here so batched features stay
-  // bitwise equal to serial ones.
+  // views of the batched world): `xs`/`ys`/`speeds` hold every vehicle of
+  // the scene including the ego at `ego_index`, and `index` is the scene's
+  // SpatialIndex built over `xs`. Writes kLaneCameraDim doubles to `out`.
+  //
+  // The lead search only visits vehicles the index reports inside the
+  // forward window [ego.x, ego.x + lead_range] — a conservative superset of
+  // every possible leader, visited in the same ascending-id order as a full
+  // scan, so the features are bitwise identical to scanning every vehicle
+  // (the test oracle's full-scan camera, tests/test_spatial_index.cpp).
   void features_into(const VehicleState& ego, double ego_max_speed,
                      const double* xs, const double* ys, const double* speeds,
-                     std::size_t n, std::size_t ego_index, const Track& track,
-                     int reference_lane, Rng* noise_rng, double* out) const;
-
-  // Index-staged variant: when `index` is non-null the lead search only
-  // visits vehicles the index reports inside the forward window
-  // [ego.x, ego.x + lead_range] — a conservative superset of every possible
-  // leader, visited in the same ascending-id order as the full scan, so the
-  // features are bitwise identical to the all-pairs path (`index == nullptr`
-  // falls back to it).
-  void features_into(const VehicleState& ego, double ego_max_speed,
-                     const double* xs, const double* ys, const double* speeds,
-                     std::size_t n, std::size_t ego_index, const Track& track,
+                     std::size_t ego_index, const Track& track,
                      int reference_lane, Rng* noise_rng,
-                     const SpatialIndex* index, double* out) const;
+                     const SpatialIndex& index, double* out) const;
 
   const LaneCameraConfig& config() const { return cfg_; }
 

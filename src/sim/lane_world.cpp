@@ -1,258 +1,26 @@
 #include "sim/lane_world.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "obs/phase.h"
-#include "obs/metrics.h"
-
 namespace hero::sim {
 
-LaneWorldConfig with_real_world_shift(LaneWorldConfig cfg) {
-  cfg.lidar.noise_stddev = 0.02;
-  cfg.camera.noise_stddev = 0.02;
-  cfg.actuation_noise = 0.08;
-  cfg.actuation_latency = 1;
-  cfg.param_jitter = 0.08;
-  return cfg;
-}
-
-LaneWorld::LaneWorld(const LaneWorldConfig& cfg)
-    : cfg_(cfg), track_(cfg.track), lidar_(cfg.lidar), camera_(cfg.camera) {
-  HERO_CHECK_MSG(!cfg_.specs.empty(), "LaneWorld needs at least one vehicle spec");
-  HERO_CHECK(cfg_.dt > 0.0 && cfg_.max_steps > 0);
-  vehicles_.resize(cfg_.specs.size());
-  for (std::size_t i = 0; i < cfg_.specs.size(); ++i) {
-    if (!cfg_.specs[i].scripted) learners_.push_back(static_cast<int>(i));
-  }
-  total_travel_.assign(vehicles_.size(), 0.0);
-  reach_ = std::hypot(0.5 * cfg_.vehicle.length, 0.5 * cfg_.vehicle.width);
-  sx_.assign(vehicles_.size(), 0.0);
-  sy_.assign(vehicles_.size(), 0.0);
-  sheading_.assign(vehicles_.size(), 0.0);
-  sspeed_.assign(vehicles_.size(), 0.0);
-  obs_boxes_.assign(vehicles_.size(), Obb{});
-  hit_scratch_.assign(vehicles_.size(), 0);
-  Rng dummy(0);
-  reset(dummy);
-}
-
-void LaneWorld::reset(Rng& rng) {
-  steps_ = 0;
-  done_ = false;
-  had_collision_ = false;
-  scene_dirty_ = true;
-  total_travel_.assign(vehicles_.size(), 0.0);
-  latency_queues_.assign(vehicles_.size(), {});
-  speed_gain_.assign(vehicles_.size(), 1.0);
-  heading_drift_.assign(vehicles_.size(), 0.0);
-
-  for (std::size_t i = 0; i < cfg_.specs.size(); ++i) {
-    const VehicleSpec& sp = cfg_.specs[i];
-    VehicleState st;
-    st.x = track_.wrap_x(sp.start_x +
-                         rng.uniform(-sp.start_x_jitter, sp.start_x_jitter));
-    st.y = track_.lane_center(sp.start_lane);
-    st.heading = 0.0;
-    st.speed = sp.scripted ? sp.scripted_speed : sp.start_speed;
-    vehicles_[i] = Vehicle(cfg_.vehicle, st);
-    if (cfg_.param_jitter > 0.0) {
-      speed_gain_[i] = std::max(0.5, 1.0 + rng.normal(0.0, cfg_.param_jitter));
-      heading_drift_[i] = rng.normal(0.0, cfg_.param_jitter * 0.2);
-    }
-  }
-}
-
-TwistCmd LaneWorld::perturbed(int vehicle, TwistCmd cmd, Rng& rng) const {
-  const std::size_t i = static_cast<std::size_t>(vehicle);
-  cmd.linear *= speed_gain_[i];
-  cmd.angular += heading_drift_[i];
-  if (cfg_.actuation_noise > 0.0) {
-    cmd.linear *= std::max(0.0, 1.0 + rng.normal(0.0, cfg_.actuation_noise));
-    cmd.angular += rng.normal(0.0, cfg_.actuation_noise * 0.25);
-  }
-  return cmd;
-}
+LaneWorld::LaneWorld(const LaneWorldConfig& cfg) : world_(cfg, /*num_envs=*/1) {}
 
 StepResult LaneWorld::step(const std::vector<TwistCmd>& cmds, Rng& rng) {
-  OBS_PHASE("sim_step");
-  HERO_CHECK_MSG(!done_, "step() called on a finished episode; call reset()");
-  HERO_CHECK_MSG(cmds.size() == learners_.size(),
-                 "expected " << learners_.size() << " commands, got " << cmds.size());
+  HERO_CHECK_MSG(!done(), "step() called on a finished episode; call reset()");
+  HERO_CHECK_MSG(cmds.size() == learners().size(),
+                 "expected " << learners().size() << " commands, got " << cmds.size());
+  Rng* rngs[] = {&rng};
+  const std::uint8_t active = 1;
+  world_.step_all(cmds.data(), rngs, &active, out_);
 
-  StepResult out;
-  out.travel.assign(vehicles_.size(), 0.0);
-
-  // Resolve the command each vehicle executes this step.
-  std::vector<TwistCmd> exec(vehicles_.size());
-  for (std::size_t k = 0; k < learners_.size(); ++k) {
-    const int vi = learners_[k];
-    TwistCmd cmd = cmds[k];
-    if (cfg_.actuation_latency > 0) {
-      auto& q = latency_queues_[static_cast<std::size_t>(vi)];
-      q.push_back(cmd);
-      if (static_cast<int>(q.size()) > cfg_.actuation_latency) {
-        cmd = q.front();
-        q.erase(q.begin());
-      } else {
-        // Queue still filling: hold the initial speed, no steering.
-        cmd = {vehicles_[static_cast<std::size_t>(vi)].state().speed, 0.0};
-      }
-    }
-    exec[static_cast<std::size_t>(vi)] = perturbed(vi, cmd, rng);
+  StepResult r;
+  r.reward = out_.reward;
+  r.travel = out_.travel;
+  r.collision = out_.collision[0] != 0;
+  for (int i = 0; i < num_vehicles(); ++i) {
+    if (world_.hit(0, i)) r.collided.push_back(i);
   }
-  for (std::size_t i = 0; i < vehicles_.size(); ++i) {
-    if (cfg_.specs[i].scripted) exec[i] = {cfg_.specs[i].scripted_speed, 0.0};
-  }
-
-  // Integrate.
-  for (std::size_t i = 0; i < vehicles_.size(); ++i) {
-    const double x0 = vehicles_[i].state().x;
-    vehicles_[i].step(exec[i], cfg_.dt, track_);
-    const double dx = track_.signed_dx(x0, vehicles_[i].state().x);
-    out.travel[i] = dx;
-    total_travel_[i] += dx;
-  }
-  scene_dirty_ = true;
-
-  ++steps_;
-#if HERO_DEBUG_CHECKS_ENABLED
-  // Post-integration invariants: states stay finite, arc-length stays wrapped
-  // into [0, C), and speeds respect the vehicle envelope. An excursion here
-  // means the integrator (not the policy) broke — catch it at the step that
-  // produced it.
-  for (std::size_t i = 0; i < vehicles_.size(); ++i) {
-    const VehicleState& st = vehicles_[i].state();
-    HERO_DCHECK_MSG(std::isfinite(st.x) && std::isfinite(st.y) &&
-                        std::isfinite(st.heading) && std::isfinite(st.speed),
-                    "LaneWorld::step vehicle " << i << " non-finite state");
-    HERO_DCHECK_MSG(st.x >= 0.0 && st.x < track_.circumference(),
-                    "LaneWorld::step vehicle " << i << " arc-length " << st.x
-                                               << " outside [0, "
-                                               << track_.circumference() << ")");
-    HERO_DCHECK_MSG(st.speed >= cfg_.vehicle.min_speed - 1e-9 &&
-                        st.speed <= cfg_.vehicle.max_speed + 1e-9,
-                    "LaneWorld::step vehicle " << i << " speed " << st.speed
-                                               << " outside [" << cfg_.vehicle.min_speed
-                                               << ", " << cfg_.vehicle.max_speed << "]");
-  }
-#endif
-  detect_collisions(out);
-  if (obs::metrics_enabled()) {
-    static obs::Counter& steps = obs::Registry::instance().counter("sim.steps");
-    static obs::Counter& collisions =
-        obs::Registry::instance().counter("sim.collisions");
-    steps.inc();
-    if (out.collision) collisions.inc();
-  }
-  if (out.collision) had_collision_ = true;
-  done_ = out.collision || steps_ >= cfg_.max_steps;
-  out.done = done_;
-
-  // High-level team reward (paper Sec. IV-B):
-  //   r_h^i = α·r_col + (1−α)·r_travel^i
-  // with r_travel normalized by the per-step distance at max RL speed.
-  const double travel_norm = 0.2 * cfg_.dt;  // 0.2 m/s is the top RL speed bound
-  double team_travel = 0.0;
-  for (int vi : learners_) team_travel += out.travel[static_cast<std::size_t>(vi)];
-  team_travel /= std::max<std::size_t>(1, learners_.size());
-
-  out.reward.assign(learners_.size(), 0.0);
-  for (std::size_t k = 0; k < learners_.size(); ++k) {
-    const double travel =
-        cfg_.shared_travel ? team_travel : out.travel[static_cast<std::size_t>(learners_[k])];
-    const double r_col = out.collision ? cfg_.collision_penalty : 0.0;
-    out.reward[k] = cfg_.alpha * r_col + (1.0 - cfg_.alpha) * (travel / travel_norm);
-  }
-  return out;
-}
-
-void LaneWorld::ensure_scene() const {
-  if (!scene_dirty_) return;
-  for (std::size_t i = 0; i < vehicles_.size(); ++i) {
-    const VehicleState& st = vehicles_[i].state();
-    sx_[i] = st.x;
-    sy_[i] = st.y;
-    sheading_[i] = st.heading;
-    sspeed_[i] = st.speed;
-  }
-  if (cfg_.use_spatial_index) {
-    index_.build(sx_.data(), static_cast<int>(vehicles_.size()),
-                 track_.circumference());
-  }
-  scene_dirty_ = false;
-}
-
-void LaneWorld::detect_collisions(StepResult& out) const {
-  if (!cfg_.use_spatial_index) {
-    // All-pairs reference path: every pair through the SAT test.
-    std::vector<bool> hit(vehicles_.size(), false);
-    for (std::size_t i = 0; i < vehicles_.size(); ++i) {
-      for (std::size_t j = i + 1; j < vehicles_.size(); ++j) {
-        Obb a = vehicles_[i].footprint();
-        Obb b = vehicles_[j].footprint();
-        // Respect the ring topology: place j relative to i.
-        b.center.x = a.center.x + track_.signed_dx(a.center.x, b.center.x);
-        // The separating-axis test is a symmetric relation; if it ever
-        // disagrees under argument order the collision reward is corrupt.
-        HERO_DCHECK_MSG(obb_overlap(a, b) == obb_overlap(b, a),
-                        "obb_overlap asymmetry between vehicles " << i << " and " << j);
-        if (obb_overlap(a, b)) {
-          hit[i] = hit[j] = true;
-        }
-      }
-      if (cfg_.offroad_is_collision && !track_.on_road(vehicles_[i].state().y)) {
-        hit[i] = true;
-      }
-    }
-    for (std::size_t i = 0; i < vehicles_.size(); ++i) {
-      if (hit[i]) out.collided.push_back(static_cast<int>(i));
-    }
-    out.collision = !out.collided.empty();
-    return;
-  }
-
-  // Broad-phase via the shared index: sweep each vehicle's cyclic arc-length
-  // successors until the ring gap exceeds 2·reach — beyond that no footprint
-  // pair can overlap, so the narrow-phase SAT set (reference = lower id,
-  // exactly the all-pairs pair test) is identical to the loop above
-  // (tests/test_spatial_index.cpp, randomized scenes).
-  ensure_scene();
-  const int V = static_cast<int>(vehicles_.size());
-  for (int i = 0; i < V; ++i) hit_scratch_[static_cast<std::size_t>(i)] = 0;
-  const double near = 2.0 * reach_ + 1e-9;
-  const double circ = track_.circumference();
-  for (int a = 0; a < V; ++a) {
-    const int ia = index_.id(a);
-    const double xa = index_.pos(a);
-    for (int t = 1; t < V; ++t) {
-      const int b = (a + t) % V;
-      const int ib = index_.id(b);
-      double gap = index_.pos(b) - xa;
-      if (b < a) gap += circ;  // cyclic successor wrapped past the seam
-      if (gap > near) break;   // sorted ⇒ later successors are farther
-
-      const std::size_t pi = static_cast<std::size_t>(std::min(ia, ib));
-      const std::size_t pj = static_cast<std::size_t>(std::max(ia, ib));
-      Obb oa = vehicles_[pi].footprint();
-      Obb ob = vehicles_[pj].footprint();
-      ob.center.x = oa.center.x + track_.signed_dx(oa.center.x, ob.center.x);
-      HERO_DCHECK_MSG(obb_overlap(oa, ob) == obb_overlap(ob, oa),
-                      "obb_overlap asymmetry between vehicles " << pi << " and " << pj);
-      if (obb_overlap(oa, ob)) {
-        hit_scratch_[pi] = 1;
-        hit_scratch_[pj] = 1;
-      }
-    }
-    if (cfg_.offroad_is_collision &&
-        !track_.on_road(vehicles_[static_cast<std::size_t>(ia)].state().y)) {
-      hit_scratch_[static_cast<std::size_t>(ia)] = 1;
-    }
-  }
-  for (int i = 0; i < V; ++i) {
-    if (hit_scratch_[static_cast<std::size_t>(i)]) out.collided.push_back(i);
-  }
-  out.collision = !out.collided.empty();
+  r.done = out_.done[0] != 0;
+  return r;
 }
 
 std::vector<double> LaneWorld::high_level_obs(int vehicle, Rng* noise_rng) const {
@@ -261,80 +29,11 @@ std::vector<double> LaneWorld::high_level_obs(int vehicle, Rng* noise_rng) const
   return obs;
 }
 
-void LaneWorld::high_level_obs_into(int vehicle, double* out,
-                                    Rng* noise_rng) const {
-  ensure_scene();
-  const std::size_t ei = static_cast<std::size_t>(vehicle);
-  const double ex = sx_[ei];
-  const double ey = sy_[ei];
-  // Stage the other footprints ego-relative through the wrapped metric,
-  // pruning boxes whose nearest point lies beyond lidar range — they cannot
-  // lower any beam's minimum, so the scan is bit-identical to unpruned.
-  const double thr = cfg_.lidar.max_range + reach_ + 1e-9;
-  std::size_t nb = 0;
-  if (cfg_.use_spatial_index) {
-    const int* ids = nullptr;
-    // Rank-order candidates: the scan reduces each beam to a minimum over
-    // ray casts, so staging order cannot change the output.
-    const int k = index_.query_unordered(ex, thr, thr, vehicle, &ids);
-    for (int c = 0; c < k; ++c) {
-      const std::size_t i = static_cast<std::size_t>(ids[c]);
-      const double dx = track_.signed_dx(ex, sx_[i]);
-      const double dy = sy_[i] - ey;
-      if (dx * dx + dy * dy > thr * thr) continue;
-      obs_boxes_[nb] = Obb{{ex + dx, sy_[i]}, sheading_[i],
-                           0.5 * cfg_.vehicle.length, 0.5 * cfg_.vehicle.width};
-      ++nb;
-    }
-    lidar_.scan_into(ex, ey, sheading_[ei], obs_boxes_.data(), nb, noise_rng,
-                     out);
-  } else {
-    // All-pairs reference: stage every other footprint, uncull narrow phase.
-    for (std::size_t i = 0; i < vehicles_.size(); ++i) {
-      if (i == ei) continue;
-      obs_boxes_[nb] = Obb{{ex + track_.signed_dx(ex, sx_[i]), sy_[i]},
-                           sheading_[i], 0.5 * cfg_.vehicle.length,
-                           0.5 * cfg_.vehicle.width};
-      ++nb;
-    }
-    lidar_.scan_into_allpairs(ex, ey, sheading_[ei], obs_boxes_.data(), nb,
-                              noise_rng, out);
-  }
-  const std::size_t beams = static_cast<std::size_t>(cfg_.lidar.num_beams);
-  out[beams] = sspeed_[ei] / cfg_.vehicle.max_speed;
-  out[beams + 1] = static_cast<double>(lane(vehicle));
-}
-
-std::size_t LaneWorld::high_level_obs_dim() const {
-  return static_cast<std::size_t>(cfg_.lidar.num_beams) + 2;
-}
-
 std::vector<double> LaneWorld::low_level_obs(int vehicle, int reference_lane,
                                              Rng* noise_rng) const {
   std::vector<double> obs(low_level_obs_dim());
   low_level_obs_into(vehicle, reference_lane, obs.data(), noise_rng);
   return obs;
-}
-
-void LaneWorld::low_level_obs_into(int vehicle, int reference_lane, double* out,
-                                   Rng* noise_rng) const {
-  ensure_scene();
-  const std::size_t ei = static_cast<std::size_t>(vehicle);
-  const VehicleState& s = vehicles_[ei].state();
-  camera_.features_into(s, cfg_.vehicle.max_speed, sx_.data(), sy_.data(),
-                        sspeed_.data(), vehicles_.size(), ei, track_,
-                        reference_lane, noise_rng,
-                        cfg_.use_spatial_index ? &index_ : nullptr, out);
-  out[kLaneCameraDim] = s.speed / cfg_.vehicle.max_speed;
-  out[kLaneCameraDim + 1] = static_cast<double>(lane(vehicle));
-}
-
-std::size_t LaneWorld::low_level_obs_dim() const { return kLaneCameraDim + 2; }
-
-double LaneWorld::mean_speed(int i) const {
-  if (steps_ == 0) return vehicles_[static_cast<std::size_t>(i)].state().speed;
-  return total_travel_[static_cast<std::size_t>(i)] /
-         (static_cast<double>(steps_) * cfg_.dt);
 }
 
 }  // namespace hero::sim

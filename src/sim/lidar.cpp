@@ -53,28 +53,6 @@ LidarSensor::LidarSensor(const LidarConfig& cfg) : cfg_(cfg) {
   dir_ok_.assign(nb, 0);
 }
 
-std::vector<double> LidarSensor::scan(const Vehicle& ego,
-                                      const std::vector<Vehicle>& all,
-                                      std::size_t ego_index, const Track& track,
-                                      Rng* noise_rng) const {
-  const VehicleState& s = ego.state();
-  std::vector<double> out(static_cast<std::size_t>(cfg_.num_beams), 1.0);
-
-  // Pre-compute the other footprints placed relative to the ego via the
-  // wrapped arc-length metric.
-  std::vector<Obb> boxes;
-  boxes.reserve(all.size());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    if (i == ego_index) continue;
-    Obb box = all[i].footprint();
-    box.center.x = s.x + track.signed_dx(s.x, all[i].state().x);
-    boxes.push_back(box);
-  }
-
-  scan_into(s.x, s.y, s.heading, boxes.data(), boxes.size(), noise_rng, out.data());
-  return out;
-}
-
 void LidarSensor::scan_into(double x, double y, double heading, const Obb* boxes,
                             std::size_t num_boxes, Rng* noise_rng,
                             double* out) const {
@@ -145,26 +123,6 @@ void LidarSensor::scan_into(double x, double y, double heading, const Obb* boxes
   // sequence is identical to the beams-outer reference loop.
   for (int b = 0; b < nb; ++b) {
     double best = best_[static_cast<std::size_t>(b)];
-    if (noise_rng && cfg_.noise_stddev > 0.0) {
-      best = std::clamp(best + noise_rng->normal(0.0, cfg_.noise_stddev), 0.0,
-                        cfg_.max_range);
-    }
-    out[static_cast<std::size_t>(b)] = best / cfg_.max_range;
-  }
-}
-
-void LidarSensor::scan_into_allpairs(double x, double y, double heading,
-                                     const Obb* boxes, std::size_t num_boxes,
-                                     Rng* noise_rng, double* out) const {
-  const Vec2 origin{x, y};
-  for (int b = 0; b < cfg_.num_beams; ++b) {
-    const double angle =
-        heading + 2.0 * M_PI * static_cast<double>(b) / cfg_.num_beams;
-    const Vec2 dir{std::cos(angle), std::sin(angle)};
-    double best = cfg_.max_range;
-    for (std::size_t i = 0; i < num_boxes; ++i) {
-      if (auto t = ray_obb(origin, dir, boxes[i]); t && *t < best) best = *t;
-    }
     if (noise_rng && cfg_.noise_stddev > 0.0) {
       best = std::clamp(best + noise_rng->normal(0.0, cfg_.noise_stddev), 0.0,
                         cfg_.max_range);

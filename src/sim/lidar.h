@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "sim/vehicle.h"
+#include "sim/geometry.h"
 
 namespace hero::sim {
 
@@ -30,35 +30,22 @@ class LidarSensor {
  public:
   explicit LidarSensor(const LidarConfig& cfg = {});
 
-  // Returns num_beams ranges normalized to [0, 1] (1 = nothing within
-  // max_range). Beam 0 points along the ego heading; beams sweep CCW.
-  // Other vehicles are re-positioned relative to the ego through the track's
-  // wrap-around metric so the ring topology is respected.
-  std::vector<double> scan(const Vehicle& ego, const std::vector<Vehicle>& all,
-                           std::size_t ego_index, const Track& track,
-                           Rng* noise_rng = nullptr) const;
-
-  // Zero-allocation scan core: raycasts the beams from pose (x, y, heading)
-  // against `num_boxes` pre-placed footprints (already re-centred relative
-  // to the ego through the track's wrapped metric) and writes num_beams
-  // normalized ranges to `out`. scan() and the SoA worlds delegate here so
-  // batched scans stay bitwise equal to serial ones.
+  // Raycasts num_beams beams from pose (x, y, heading) against `num_boxes`
+  // pre-placed footprints (already re-centred relative to the ego through
+  // the track's wrapped metric, so the ring topology is respected) and
+  // writes num_beams ranges normalized to [0, 1] (1 = nothing within
+  // max_range) to `out`. Beam 0 points along the ego heading; beams sweep
+  // CCW. Zero-allocation: the world's observation calls stage boxes into
+  // reused buffers and land here.
   // Noise draws (when enabled) are per beam, independent of the box set.
   //
   // Narrow phase: per staged box, only the beams inside the angular interval
   // subtended by the box's circumcircle (± a safety margin) are raycast —
   // beams outside it provably miss, so the per-beam minima (and therefore
   // the output) are bitwise identical to testing every beam against every
-  // box (scan_into_allpairs, enforced by tests/test_spatial_index.cpp).
+  // box (the test oracle's all-pairs scan, tests/test_spatial_index.cpp).
   void scan_into(double x, double y, double heading, const Obb* boxes,
                  std::size_t num_boxes, Rng* noise_rng, double* out) const;
-
-  // Reference narrow phase: every beam against every staged box. Kept as
-  // the equivalence baseline for the angular cull and as the measured
-  // all-pairs path of the dense-traffic benchmark.
-  void scan_into_allpairs(double x, double y, double heading, const Obb* boxes,
-                          std::size_t num_boxes, Rng* noise_rng,
-                          double* out) const;
 
   const LidarConfig& config() const { return cfg_; }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -134,6 +135,20 @@ double require_positive(const std::string& path, const char* key, double v) {
   return v;
 }
 
+// JSON numbers are doubles; an int field must hold a finite whole number in
+// int range. Anything else is rejected rather than cast: a fractional value
+// would be silently truncated, an out-of-range one is undefined behaviour.
+int require_int(const std::string& path, const char* key, double v) {
+  if (!(std::isfinite(v) && v == std::trunc(v) &&
+        v >= static_cast<double>(std::numeric_limits<int>::min()) &&
+        v <= static_cast<double>(std::numeric_limits<int>::max()))) {
+    std::ostringstream os;
+    os << key << " must be an integer, got " << v;
+    scenario_error(path, os.str());
+  }
+  return static_cast<int>(v);
+}
+
 }  // namespace
 
 Scenario load_scenario(const std::string& path, int num_vehicles_override) {
@@ -159,21 +174,20 @@ Scenario load_scenario(const std::string& path, int num_vehicles_override) {
     cfg.track.lane_width = require_positive(
         path, "track.lane_width",
         track->get_number("lane_width", cfg.track.lane_width));
-    cfg.track.num_lanes =
-        static_cast<int>(track->get_number("num_lanes", cfg.track.num_lanes));
+    cfg.track.num_lanes = require_int(
+        path, "track.num_lanes",
+        track->get_number("num_lanes", cfg.track.num_lanes));
     if (cfg.track.num_lanes < 1) scenario_error(path, "track.num_lanes must be >= 1");
   }
   cfg.dt = require_positive(path, "dt", doc.get_number("dt", cfg.dt));
-  cfg.max_steps = static_cast<int>(doc.get_number("max_steps", cfg.max_steps));
+  cfg.max_steps =
+      require_int(path, "max_steps", doc.get_number("max_steps", cfg.max_steps));
   if (cfg.max_steps < 1) scenario_error(path, "max_steps must be >= 1");
   cfg.alpha = doc.get_number("alpha", cfg.alpha);
   cfg.collision_penalty =
       doc.get_number("collision_penalty", cfg.collision_penalty);
   if (const obs::JsonValue* v = doc.find("shared_travel")) {
     cfg.shared_travel = v->bool_or(cfg.shared_travel);
-  }
-  if (const obs::JsonValue* v = doc.find("use_spatial_index")) {
-    cfg.use_spatial_index = v->bool_or(cfg.use_spatial_index);
   }
 
   const obs::JsonValue* vehicles = doc.find("vehicles");
@@ -191,7 +205,7 @@ Scenario load_scenario(const std::string& path, int num_vehicles_override) {
     }
     for (const obs::JsonValue& v : vehicles->items) {
       VehicleSpec sp;
-      sp.start_lane = static_cast<int>(v.get_number("lane", 0));
+      sp.start_lane = require_int(path, "vehicles[].lane", v.get_number("lane", 0));
       sp.start_x = v.get_number("x", 0.0);
       sp.start_x_jitter = v.get_number("x_jitter", 0.0);
       sp.start_speed = v.get_number("speed", sp.start_speed);
@@ -209,12 +223,12 @@ Scenario load_scenario(const std::string& path, int num_vehicles_override) {
     // across the lanes, evenly spaced along each lane's arc with a per-lane
     // stagger so adjacent lanes do not start as side-by-side walls; every
     // plodder_every-th vehicle is a scripted plodder (mixed congestion).
-    int num_vehicles =
-        static_cast<int>(traffic->get_number("num_vehicles", 0));
+    int num_vehicles = require_int(path, "traffic.num_vehicles",
+                                   traffic->get_number("num_vehicles", 0));
     if (num_vehicles_override > 0) num_vehicles = num_vehicles_override;
     if (num_vehicles < 1) scenario_error(path, "traffic.num_vehicles must be >= 1");
-    const int plodder_every =
-        static_cast<int>(traffic->get_number("plodder_every", 0));
+    const int plodder_every = require_int(
+        path, "traffic.plodder_every", traffic->get_number("plodder_every", 0));
     const double start_speed = traffic->get_number("start_speed", 0.10);
     const double plodder_speed = traffic->get_number("plodder_speed", 0.04);
     const double jitter = traffic->get_number("start_x_jitter", 0.0);
@@ -252,9 +266,10 @@ Scenario load_scenario(const std::string& path, int num_vehicles_override) {
   for (const VehicleSpec& sp : cfg.specs) any_learner |= !sp.scripted;
   if (!any_learner) scenario_error(path, "scenario has no learner vehicles");
 
-  sc.merger_index = static_cast<int>(doc.get_number("merger_index", 0));
-  sc.merger_target_lane =
-      static_cast<int>(doc.get_number("merger_target_lane", 1));
+  sc.merger_index =
+      require_int(path, "merger_index", doc.get_number("merger_index", 0));
+  sc.merger_target_lane = require_int(path, "merger_target_lane",
+                                      doc.get_number("merger_target_lane", 1));
   if (sc.merger_index < 0 ||
       sc.merger_index >= static_cast<int>(cfg.specs.size()) ||
       cfg.specs[static_cast<std::size_t>(sc.merger_index)].scripted) {

@@ -36,12 +36,14 @@ struct TwistCmd {
 };
 
 // One control period of the unicycle integrator: commands clamped to the
-// actuator limits, mid-point heading integration, arc length wrapped through
-// the track. Defined inline in this header because Vehicle::step *and* the
-// SoA BatchLaneWorld kinematics pass both call it — sharing one set of
-// expressions is what keeps batched trajectories bitwise equal to serial
-// ones even when the compiler contracts floating-point expressions
-// (contraction decisions are made per expression, not per call site).
+// actuator limits (heading clamped so a vehicle can never drive
+// perpendicular to the road, matching the bounded-steering testbed),
+// mid-point heading integration, arc length wrapped through the track.
+// Defined inline in this header because the BatchLaneWorld kinematics pass
+// *and* the test oracle's per-vehicle integrator both call it — sharing one
+// set of expressions is what keeps the two bitwise equal even when the
+// compiler contracts floating-point expressions (contraction decisions are
+// made per expression, not per call site).
 inline VehicleState integrate_unicycle(const VehicleParams& params,
                                        const VehicleState& s, const TwistCmd& cmd,
                                        double dt, const Track& track) {
@@ -63,30 +65,5 @@ inline VehicleState integrate_unicycle(const VehicleParams& params,
   next.yaw_rate = w;
   return next;
 }
-
-class Vehicle {
- public:
-  Vehicle() = default;
-  Vehicle(const VehicleParams& params, const VehicleState& initial)
-      : params_(params), state_(initial) {}
-
-  // Integrates one control period. Commands are clamped to actuator limits;
-  // heading is clamped so a vehicle can never drive perpendicular to the
-  // road (matching the bounded-steering testbed).
-  void step(const TwistCmd& cmd, double dt, const Track& track);
-
-  const VehicleState& state() const { return state_; }
-  VehicleState& mutable_state() { return state_; }
-  const VehicleParams& params() const { return params_; }
-
-  // Footprint for collision / lidar in (x, y) road coordinates.
-  Obb footprint() const;
-
-  int lane(const Track& track) const { return track.lane_of(state_.y); }
-
- private:
-  VehicleParams params_;
-  VehicleState state_;
-};
 
 }  // namespace hero::sim

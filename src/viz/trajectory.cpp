@@ -15,7 +15,7 @@ std::vector<PoseSnapshot> snapshot(const sim::LaneWorld& world) {
   std::vector<PoseSnapshot> out;
   out.reserve(static_cast<std::size_t>(world.num_vehicles()));
   for (int i = 0; i < world.num_vehicles(); ++i) {
-    const auto& st = world.vehicle(i).state();
+    const sim::VehicleState st = world.state(i);
     out.push_back({st.x, st.y, st.heading, st.speed, world.lane(i)});
   }
   return out;

@@ -76,9 +76,10 @@ TEST(Termination, LaneChangeSucceedsWhenAlignedInTargetLane) {
   EXPECT_FALSE(option_terminated(exec, world, 0, cfg));
 
   // Teleport into the target lane, aligned: success.
-  auto& st = world.mutable_vehicle(0).mutable_state();
+  sim::VehicleState st = world.state(0);
   st.y = world.track().lane_center(1) + 0.01;
   st.heading = 0.05;
+  world.set_state(0, st);
   EXPECT_EQ(lane_change_outcome(exec, world, 0, cfg), LaneChangeOutcome::kSuccess);
   EXPECT_TRUE(option_terminated(exec, world, 0, cfg));
 }
@@ -91,9 +92,10 @@ TEST(Termination, LaneChangeTiltedDoesNotCountAsSuccess) {
   OptionExecution exec;
   exec.option = Option::kLaneChange;
   exec.target_lane = 1;
-  auto& st = world.mutable_vehicle(0).mutable_state();
+  sim::VehicleState st = world.state(0);
   st.y = world.track().lane_center(1);
   st.heading = 0.5;  // too tilted
+  world.set_state(0, st);
   EXPECT_EQ(lane_change_outcome(exec, world, 0, cfg), LaneChangeOutcome::kInProgress);
 }
 
@@ -119,7 +121,9 @@ TEST(IntrinsicReward, DrivingInLanePenalizesDeviation) {
   IntrinsicRewardConfig cfg;
 
   const double centred = driving_in_lane_reward(world, 0, 0.05, cfg);
-  world.mutable_vehicle(0).mutable_state().y = 0.1;
+  sim::VehicleState st = world.state(0);
+  st.y = 0.1;
+  world.set_state(0, st);
   const double offset = driving_in_lane_reward(world, 0, 0.05, cfg);
   EXPECT_GT(centred, offset);
   // centred at travel 0.05: 0.5·0 + 0.5·(0.05/0.1) = 0.25
@@ -182,7 +186,9 @@ TEST(SkillBank, LaneChangeSteersTowardTargetLane) {
   EXPECT_GT(cmd_up.angular, 0.0);
 
   // From lane 1 down to lane 0 the sign flips.
-  world.mutable_vehicle(0).mutable_state().y = world.track().lane_center(1);
+  sim::VehicleState st = world.state(0);
+  st.y = world.track().lane_center(1);
+  world.set_state(0, st);
   OptionExecution down;
   down.option = Option::kLaneChange;
   down.target_lane = 0;
@@ -207,9 +213,10 @@ TEST(SkillBank, LaneChangeStraightensNearTarget) {
   Rng rng(11);
   auto world = make_world();
   world.reset(rng);
-  auto& st = world.mutable_vehicle(0).mutable_state();
+  sim::VehicleState st = world.state(0);
   st.y = world.track().lane_center(1) - 0.01;  // nearly there
   st.heading = 0.3;                            // still tilted
+  world.set_state(0, st);
   SkillConfig cfg;
   SkillBank bank(world.low_level_obs_dim(), cfg, rng);
   OptionExecution exec;

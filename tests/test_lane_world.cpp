@@ -42,8 +42,8 @@ TEST(LaneWorld, ResetPlacesVehiclesPerSpec) {
   LaneWorld w(tiny_world(2, false));
   Rng rng(1);
   w.reset(rng);
-  EXPECT_NEAR(w.vehicle(0).state().x, 0.0, 1e-12);
-  EXPECT_NEAR(w.vehicle(1).state().x, 1.0, 1e-12);
+  EXPECT_NEAR(w.state(0).x, 0.0, 1e-12);
+  EXPECT_NEAR(w.state(1).x, 1.0, 1e-12);
   EXPECT_EQ(w.lane(0), 0);
   EXPECT_EQ(w.steps(), 0);
   EXPECT_FALSE(w.done());
@@ -57,8 +57,8 @@ TEST(LaneWorld, ResetJitterStaysWithinBounds) {
   Rng rng(2);
   for (int i = 0; i < 50; ++i) {
     w.reset(rng);
-    EXPECT_GE(w.vehicle(0).state().x, 3.5 - 1e-9);
-    EXPECT_LE(w.vehicle(0).state().x, 4.5 + 1e-9);
+    EXPECT_GE(w.state(0).x, 3.5 - 1e-9);
+    EXPECT_LE(w.state(0).x, 4.5 + 1e-9);
   }
 }
 
@@ -77,9 +77,9 @@ TEST(LaneWorld, ScriptedVehicleDrivesItself) {
   LaneWorld w(tiny_world(1, true));
   Rng rng(4);
   w.reset(rng);
-  const double x0 = w.vehicle(1).state().x;
+  const double x0 = w.state(1).x;
   (void)w.step({{0.1, 0.0}}, rng);
-  EXPECT_NEAR(w.vehicle(1).state().x - x0, 0.04 * 0.5, 1e-12);
+  EXPECT_NEAR(w.state(1).x - x0, 0.04 * 0.5, 1e-12);
 }
 
 TEST(LaneWorld, EndsAtMaxSteps) {
@@ -287,7 +287,36 @@ TEST(LaneWorld, NoNoiseMeansDeterministicStep) {
   w2.reset(rng2);
   auto rb = w2.step({{0.1, 0.05}}, rng2);
   EXPECT_DOUBLE_EQ(ra.travel[0], rb.travel[0]);
-  EXPECT_DOUBLE_EQ(w.vehicle(0).state().y, w2.vehicle(0).state().y);
+  EXPECT_DOUBLE_EQ(w.state(0).y, w2.state(0).y);
+}
+
+TEST(LaneWorld, MovedWorldKeepsStepping) {
+  // Callers keep worlds in growing vectors (one per served session), so a
+  // world must step on unchanged after being moved — mid-episode, through a
+  // vector reallocation — exactly like a twin that stayed put.
+  const auto cfg = with_real_world_shift(tiny_world(2, true));
+  LaneWorld twin(cfg);
+  std::vector<LaneWorld> moved;
+  moved.emplace_back(cfg);
+  Rng rt(30), rm(30);
+  twin.reset(rt);
+  moved[0].reset(rm);
+  const std::vector<TwistCmd> cmds{{0.1, 0.02}, {0.12, -0.01}};
+  (void)twin.step(cmds, rt);
+  (void)moved[0].step(cmds, rm);
+  for (int i = 0; i < 8; ++i) moved.emplace_back(cfg);  // forces reallocation
+  LaneWorld w = std::move(moved[0]);
+  while (!twin.done()) {
+    const StepResult a = twin.step(cmds, rt);
+    const StepResult b = w.step(cmds, rm);
+    EXPECT_EQ(a.reward, b.reward);
+    EXPECT_EQ(a.travel, b.travel);
+    EXPECT_EQ(a.collided, b.collided);
+    EXPECT_EQ(twin.high_level_obs(1, &rt), w.high_level_obs(1, &rm));
+    EXPECT_EQ(twin.low_level_obs(0, 1, &rt), w.low_level_obs(0, 1, &rm));
+  }
+  EXPECT_TRUE(w.done());
+  EXPECT_EQ(twin.steps(), w.steps());
 }
 
 // ----------------------------------------------------------- scenarios ----

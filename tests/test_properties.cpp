@@ -13,6 +13,8 @@
 #include "rl/exploration.h"
 #include "rl/replay_buffer.h"
 #include "sim/scenario.h"
+#include "support/sensor_scene.h"
+#include "support/sim_oracle.h"
 
 namespace hero {
 namespace {
@@ -26,7 +28,7 @@ TEST_P(VehicleKinematicsP, StepInvariants) {
   const auto [speed, yaw, dt] = GetParam();
   sim::Track track({8.0, 0.35, 2});
   sim::VehicleParams params;
-  sim::Vehicle v(params, sim::VehicleState{1.0, 0.0, 0.0, 0.0, 0.0});
+  sim::oracle::Vehicle v(params, sim::VehicleState{1.0, 0.0, 0.0, 0.0, 0.0});
 
   for (int i = 0; i < 40; ++i) {
     const sim::VehicleState before = v.state();
@@ -262,11 +264,9 @@ class LidarBeamCountP : public ::testing::TestWithParam<int> {};
 
 TEST_P(LidarBeamCountP, EmptyWorldAllMaxRangeAnyBeamCount) {
   sim::Track track({8.0, 0.35, 2});
-  sim::VehicleParams p;
-  std::vector<sim::Vehicle> vs;
-  vs.emplace_back(p, sim::VehicleState{1.0, 0.0, 0.3, 0.1, 0.0});
+  const std::vector<sim::VehicleState> vs{{1.0, 0.0, 0.3, 0.1, 0.0}};
   sim::LidarSensor lidar({GetParam(), 2.0, 0.0});
-  auto scan = lidar.scan(vs[0], vs, 0, track);
+  auto scan = sim::scene_scan(lidar, vs, 0, track);
   ASSERT_EQ(scan.size(), static_cast<std::size_t>(GetParam()));
   for (double r : scan) EXPECT_DOUBLE_EQ(r, 1.0);
 }

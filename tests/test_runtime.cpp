@@ -23,19 +23,6 @@ TEST(ThreadPool, ParallelForRunsEveryIndexExactlyOnce) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, ParallelForSlotsPartitionIsStatic) {
-  ThreadPool pool(3);
-  std::vector<int> slot_of(100, -1);
-  hero::Mutex mu;
-  pool.parallel_for_slots(slot_of.size(), [&](std::size_t i, std::size_t slot) {
-    hero::MutexLock lock(mu);
-    slot_of[i] = static_cast<int>(slot);
-  });
-  for (std::size_t i = 0; i < slot_of.size(); ++i) {
-    EXPECT_EQ(slot_of[i], static_cast<int>(i % 3)) << "index " << i;
-  }
-}
-
 TEST(ThreadPool, SubmitDrainsBeforeDestruction) {
   std::atomic<int> ran{0};
   {

@@ -27,25 +27,6 @@ TEST(RuntimeStress, ThreadPoolParallelForHammer) {
   EXPECT_EQ(total.load(), 200L * 64);
 }
 
-TEST(RuntimeStress, ThreadPoolSlotExclusivity) {
-  // parallel_for_slots promises a slot is never occupied by two concurrent
-  // tasks — per-slot non-atomic counters under TSan prove it.
-  ThreadPool pool(4);
-  struct Slot {
-    long count = 0;  // intentionally non-atomic: exclusivity is the claim
-    char pad[56];
-  };
-  std::vector<Slot> slots(4);
-  for (int round = 0; round < 50; ++round) {
-    pool.parallel_for_slots(97, [&](std::size_t, std::size_t slot) {
-      slots[slot].count += 1;
-    });
-  }
-  long total = 0;
-  for (const auto& s : slots) total += s.count;
-  EXPECT_EQ(total, 50L * 97);
-}
-
 TEST(RuntimeStress, StreamRngThreadLocalDraws) {
   // Counter-based streams are constructed concurrently from raw (seed, id)
   // pairs — no shared state, so concurrent construction must be race-free

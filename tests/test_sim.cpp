@@ -1,5 +1,7 @@
 // Unit tests for the simulator substrate: geometry primitives, track
-// arithmetic, vehicle kinematics, lidar and camera models.
+// arithmetic, vehicle kinematics, lidar and camera models, and the bitwise
+// equivalence of the batch world, its one-env LaneWorld view and the
+// all-pairs test oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,13 +9,14 @@
 #include <vector>
 
 #include "sim/batch_lane_world.h"
-#include "sim/features.h"
-#include "sim/lidar.h"
-#include "sim/track.h"
-#include "sim/vehicle.h"
+#include "sim/lane_world.h"
+#include "support/sensor_scene.h"
+#include "support/sim_oracle.h"
 
 namespace hero::sim {
 namespace {
+
+using oracle::Vehicle;
 
 // ------------------------------------------------------------ geometry ----
 
@@ -225,20 +228,17 @@ TEST(Vehicle, FootprintMatchesPose) {
 
 // ---------------------------------------------------------------- lidar ---
 
-std::vector<Vehicle> two_vehicles(double gap, int lane2, const Track& track) {
-  VehicleParams p;
-  std::vector<Vehicle> vs;
-  vs.emplace_back(p, VehicleState{1.0, 0.0, 0.0, 0.1, 0.0});
-  vs.emplace_back(p, VehicleState{track.wrap_x(1.0 + gap),
-                                  lane2 * track.lane_width(), 0.0, 0.1, 0.0});
-  return vs;
+std::vector<VehicleState> two_vehicles(double gap, int lane2, const Track& track) {
+  return {VehicleState{1.0, 0.0, 0.0, 0.1, 0.0},
+          VehicleState{track.wrap_x(1.0 + gap), lane2 * track.lane_width(), 0.0,
+                       0.1, 0.0}};
 }
 
 TEST(Lidar, FrontBeamSeesLeader) {
   Track track({8.0, 0.35, 2});
   auto vs = two_vehicles(1.0, 0, track);
   LidarSensor lidar({16, 2.0, 0.0});
-  auto scan = lidar.scan(vs[0], vs, 0, track);
+  auto scan = scene_scan(lidar, vs, 0, track);
   ASSERT_EQ(scan.size(), 16u);
   // Beam 0 hits the leader's rear face: 1.0 − half_len = 0.85, /2.0 = 0.425.
   EXPECT_NEAR(scan[0], 0.425, 1e-9);
@@ -247,12 +247,10 @@ TEST(Lidar, FrontBeamSeesLeader) {
 TEST(Lidar, RearBeamSeesFollowerAcrossWrap) {
   Track track({8.0, 0.35, 2});
   // Ego at x = 0.2; other at x = 7.6 — behind, across the wrap.
-  VehicleParams p;
-  std::vector<Vehicle> vs;
-  vs.emplace_back(p, VehicleState{0.2, 0.0, 0.0, 0.1, 0.0});
-  vs.emplace_back(p, VehicleState{7.6, 0.0, 0.0, 0.1, 0.0});
+  const std::vector<VehicleState> vs{{0.2, 0.0, 0.0, 0.1, 0.0},
+                                     {7.6, 0.0, 0.0, 0.1, 0.0}};
   LidarSensor lidar({16, 2.0, 0.0});
-  auto scan = lidar.scan(vs[0], vs, 0, track);
+  auto scan = scene_scan(lidar, vs, 0, track);
   // Beam 8 points backwards; raw gap 0.6 − 0.15 = 0.45, /2.0 = 0.225.
   EXPECT_NEAR(scan[8], 0.225, 1e-9);
   EXPECT_NEAR(scan[0], 1.0, 1e-9);  // nothing ahead within range
@@ -262,18 +260,17 @@ TEST(Lidar, OutOfRangeIsOne) {
   Track track({8.0, 0.35, 2});
   auto vs = two_vehicles(3.5, 0, track);
   LidarSensor lidar({16, 2.0, 0.0});
-  auto scan = lidar.scan(vs[0], vs, 0, track);
+  auto scan = scene_scan(lidar, vs, 0, track);
   for (double r : scan) EXPECT_DOUBLE_EQ(r, 1.0);
 }
 
 TEST(Lidar, SideBeamSeesAdjacentLane) {
   Track track({8.0, 0.35, 2});
-  VehicleParams p;
-  std::vector<Vehicle> vs;
-  vs.emplace_back(p, VehicleState{1.0, 0.0, 0.0, 0.1, 0.0});
-  vs.emplace_back(p, VehicleState{1.0, 0.35, 0.0, 0.1, 0.0});  // directly left
+  const std::vector<VehicleState> vs{
+      {1.0, 0.0, 0.0, 0.1, 0.0},
+      {1.0, 0.35, 0.0, 0.1, 0.0}};  // directly left
   LidarSensor lidar({16, 2.0, 0.0});
-  auto scan = lidar.scan(vs[0], vs, 0, track);
+  auto scan = scene_scan(lidar, vs, 0, track);
   // Beam 4 (90°) hits the neighbour's near side: 0.35 − 0.09 = 0.26, /2 = 0.13.
   EXPECT_NEAR(scan[4], 0.13, 1e-9);
 }
@@ -283,8 +280,8 @@ TEST(Lidar, NoiseIsBoundedAndSeeded) {
   auto vs = two_vehicles(1.0, 0, track);
   LidarSensor lidar({16, 2.0, 0.05});
   Rng r1(5), r2(5);
-  auto s1 = lidar.scan(vs[0], vs, 0, track, &r1);
-  auto s2 = lidar.scan(vs[0], vs, 0, track, &r2);
+  auto s1 = scene_scan(lidar, vs, 0, track, &r1);
+  auto s2 = scene_scan(lidar, vs, 0, track, &r2);
   EXPECT_EQ(s1, s2);  // same seed, same noise
   for (double v : s1) {
     EXPECT_GE(v, 0.0);
@@ -297,11 +294,9 @@ TEST(Lidar, NoiseIsBoundedAndSeeded) {
 
 TEST(LaneCamera, CenteredVehicleHasZeroOffset) {
   Track track({8.0, 0.35, 2});
-  VehicleParams p;
-  std::vector<Vehicle> vs;
-  vs.emplace_back(p, VehicleState{1.0, 0.0, 0.0, 0.1, 0.0});
+  const std::vector<VehicleState> vs{{1.0, 0.0, 0.0, 0.1, 0.0}};
   LaneCamera cam;
-  auto f = cam.features(vs[0], vs, 0, track, /*reference_lane=*/0);
+  auto f = scene_features(cam, vs, 0, track, /*reference_lane=*/0);
   ASSERT_EQ(f.size(), kLaneCameraDim);
   EXPECT_NEAR(f[0], 0.0, 1e-12);   // lateral offset
   EXPECT_NEAR(f[1], 0.0, 1e-12);   // sin(heading)
@@ -312,12 +307,10 @@ TEST(LaneCamera, CenteredVehicleHasZeroOffset) {
 
 TEST(LaneCamera, OffsetRelativeToReferenceLane) {
   Track track({8.0, 0.35, 2});
-  VehicleParams p;
-  std::vector<Vehicle> vs;
-  vs.emplace_back(p, VehicleState{1.0, 0.1, 0.0, 0.1, 0.0});
+  const std::vector<VehicleState> vs{{1.0, 0.1, 0.0, 0.1, 0.0}};
   LaneCamera cam;
-  auto f0 = cam.features(vs[0], vs, 0, track, 0);
-  auto f1 = cam.features(vs[0], vs, 0, track, 1);
+  auto f0 = scene_features(cam, vs, 0, track, 0);
+  auto f1 = scene_features(cam, vs, 0, track, 1);
   EXPECT_NEAR(f0[0], 0.1 / 0.35, 1e-12);
   EXPECT_NEAR(f1[0], (0.1 - 0.35) / 0.35, 1e-12);
   // The "remaining manoeuvre" feature flips sign with the reference lane.
@@ -328,31 +321,30 @@ TEST(LaneCamera, OffsetRelativeToReferenceLane) {
 TEST(LaneCamera, DetectsLeaderGapAndRelativeSpeed) {
   Track track({8.0, 0.35, 2});
   VehicleParams p;
-  std::vector<Vehicle> vs;
-  vs.emplace_back(p, VehicleState{1.0, 0.0, 0.0, 0.10, 0.0});
-  vs.emplace_back(p, VehicleState{1.8, 0.0, 0.0, 0.04, 0.0});
+  const std::vector<VehicleState> vs{{1.0, 0.0, 0.0, 0.10, 0.0},
+                                     {1.8, 0.0, 0.0, 0.04, 0.0}};
   LaneCamera cam({2.0, 0.0});
-  auto f = cam.features(vs[0], vs, 0, track, 0);
+  auto f = scene_features(cam, vs, 0, track, 0);
   EXPECT_NEAR(f[3], 0.8 / 2.0, 1e-12);
   EXPECT_NEAR(f[4], (0.04 - 0.10) / p.max_speed, 1e-12);
 }
 
 TEST(LaneCamera, IgnoresOtherLaneVehicles) {
   Track track({8.0, 0.35, 2});
-  VehicleParams p;
-  std::vector<Vehicle> vs;
-  vs.emplace_back(p, VehicleState{1.0, 0.0, 0.0, 0.10, 0.0});
-  vs.emplace_back(p, VehicleState{1.5, 0.35, 0.0, 0.04, 0.0});  // other lane
+  const std::vector<VehicleState> vs{
+      {1.0, 0.0, 0.0, 0.10, 0.0},
+      {1.5, 0.35, 0.0, 0.04, 0.0}};  // other lane
   LaneCamera cam;
-  auto f = cam.features(vs[0], vs, 0, track, 0);
+  auto f = scene_features(cam, vs, 0, track, 0);
   EXPECT_NEAR(f[3], 1.0, 1e-12);
 }
 
-// --- BatchLaneWorld vs LaneWorld equivalence (docs/BATCHING.md) -----------
+// --- batch world, LaneWorld view and oracle equivalence (docs/BATCHING.md) -
 //
-// The batched world's contract is *bitwise* equality with the serial world
-// given the same config, state, and RNG stream — every EXPECT_EQ below is an
-// exact double comparison on purpose.
+// The batch world's contract is *bitwise* equality with the all-pairs
+// oracle given the same config, state, and RNG stream, and the LaneWorld
+// view must add nothing of its own — every EXPECT_EQ below is an exact
+// double comparison on purpose.
 
 LaneWorldConfig batch_test_config(int learners, bool with_plodder) {
   LaneWorldConfig cfg;
@@ -378,16 +370,27 @@ LaneWorldConfig batch_test_config(int learners, bool with_plodder) {
   return cfg;
 }
 
-// Steps a serial world and env `e` of a batched world in lockstep with
-// bit-identical command and world RNG streams, comparing everything after
-// every step (void so ASSERT_* can bail out).
+void check_same_state(const VehicleState& a, const VehicleState& b, int i,
+                       int step) {
+  ASSERT_EQ(a.x, b.x) << "vehicle " << i << " step " << step;
+  ASSERT_EQ(a.y, b.y) << "vehicle " << i << " step " << step;
+  ASSERT_EQ(a.heading, b.heading) << "vehicle " << i << " step " << step;
+  ASSERT_EQ(a.speed, b.speed) << "vehicle " << i << " step " << step;
+  ASSERT_EQ(a.yaw_rate, b.yaw_rate) << "vehicle " << i << " step " << step;
+}
+
+// Steps the oracle, env `e` of a batched world and a LaneWorld view in
+// lockstep with bit-identical command and world RNG streams, comparing
+// everything after every step (void so ASSERT_* can bail out).
 void run_lockstep_compare(const LaneWorldConfig& cfg, BatchLaneWorld& bw, int e,
                           unsigned world_seed, unsigned cmd_seed) {
-  LaneWorld sw(cfg);
-  Rng serial_rng(world_seed), batch_rng(world_seed);
-  Rng serial_cmd(cmd_seed), batch_cmd(cmd_seed);
-  sw.reset(serial_rng);
+  oracle::LaneWorld sw(cfg);
+  LaneWorld vw(cfg);
+  Rng oracle_rng(world_seed), batch_rng(world_seed), view_rng(world_seed);
+  Rng cmd_rng(cmd_seed);
+  sw.reset(oracle_rng);
   bw.reset_env(e, batch_rng);
+  vw.reset(view_rng);
 
   const int n = sw.num_learners();
   std::vector<TwistCmd> cmds(static_cast<std::size_t>(n));
@@ -404,30 +407,37 @@ void run_lockstep_compare(const LaneWorldConfig& cfg, BatchLaneWorld& bw, int e,
   int steps = 0;
   while (!sw.done()) {
     for (int k = 0; k < n; ++k) {
-      cmds[static_cast<std::size_t>(k)] = {serial_cmd.uniform(0.0, 0.2),
-                                           serial_cmd.uniform(-0.5, 0.5)};
-      bcmds[static_cast<std::size_t>(e * n + k)] = {batch_cmd.uniform(0.0, 0.2),
-                                                    batch_cmd.uniform(-0.5, 0.5)};
+      const TwistCmd c{cmd_rng.uniform(0.0, 0.2), cmd_rng.uniform(-0.5, 0.5)};
+      cmds[static_cast<std::size_t>(k)] = c;
+      bcmds[static_cast<std::size_t>(e * n + k)] = c;
     }
-    auto sout = sw.step(cmds, serial_rng);
+    auto sout = sw.step(cmds, oracle_rng);
     bw.step_all(bcmds.data(), rngs, active.data(), bout);
+    auto vout = vw.step(cmds, view_rng);
     ++steps;
 
     ASSERT_EQ(sw.steps(), bw.steps(e));
     ASSERT_EQ(sw.done(), bw.done(e));
     ASSERT_EQ(sout.collision, bout.collision[static_cast<std::size_t>(e)] != 0);
+    // The view's whole StepResult, against the oracle's.
+    ASSERT_EQ(sout.reward, vout.reward) << "step " << steps;
+    ASSERT_EQ(sout.travel, vout.travel) << "step " << steps;
+    ASSERT_EQ(sout.collision, vout.collision) << "step " << steps;
+    ASSERT_EQ(sout.collided, vout.collided) << "step " << steps;
+    ASSERT_EQ(sout.done, vout.done) << "step " << steps;
+    ASSERT_EQ(sw.steps(), vw.steps());
+    ASSERT_EQ(sw.done(), vw.done());
     for (int i = 0; i < sw.num_vehicles(); ++i) {
-      const VehicleState& a = sw.vehicle(i).state();
-      const VehicleState b = bw.state(e, i);
-      ASSERT_EQ(a.x, b.x) << "vehicle " << i << " step " << steps;
-      ASSERT_EQ(a.y, b.y) << "vehicle " << i << " step " << steps;
-      ASSERT_EQ(a.heading, b.heading) << "vehicle " << i << " step " << steps;
-      ASSERT_EQ(a.speed, b.speed) << "vehicle " << i << " step " << steps;
-      ASSERT_EQ(a.yaw_rate, b.yaw_rate) << "vehicle " << i << " step " << steps;
+      const VehicleState a = sw.state(i);
+      check_same_state(a, bw.state(e, i), i, steps);
+      check_same_state(a, vw.state(i), i, steps);
       ASSERT_EQ(sout.travel[static_cast<std::size_t>(i)],
                 bout.travel[static_cast<std::size_t>(e * sw.num_vehicles() + i)]);
       ASSERT_EQ(sw.total_travel(i), bw.total_travel(e, i));
+      ASSERT_EQ(sw.total_travel(i), vw.total_travel(i));
       ASSERT_EQ(sw.mean_speed(i), bw.mean_speed(e, i));
+      ASSERT_EQ(sw.mean_speed(i), vw.mean_speed(i));
+      ASSERT_EQ(sw.lane(i), vw.lane(i));
     }
     for (int k = 0; k < n; ++k) {
       ASSERT_EQ(sout.reward[static_cast<std::size_t>(k)],
@@ -437,17 +447,21 @@ void run_lockstep_compare(const LaneWorldConfig& cfg, BatchLaneWorld& bw, int e,
     for (int i = 0; i < sw.num_vehicles(); ++i) {
       auto sh = sw.high_level_obs(i);
       bw.high_level_obs_into(e, i, bobs.data());
+      ASSERT_EQ(sh, vw.high_level_obs(i)) << "vehicle " << i << " step " << steps;
       for (std::size_t d = 0; d < sh.size(); ++d) ASSERT_EQ(sh[d], bobs[d]);
       for (int ref = 0; ref < sw.track().num_lanes(); ++ref) {
         auto sl = sw.low_level_obs(i, ref);
         bw.low_level_obs_into(e, i, ref, bl.data());
+        ASSERT_EQ(sl, vw.low_level_obs(i, ref)) << "vehicle " << i << " step " << steps;
         for (std::size_t d = 0; d < sl.size(); ++d) ASSERT_EQ(sl[d], bl[d]);
       }
     }
   }
   EXPECT_GT(steps, 0);
   EXPECT_TRUE(bw.done(e));
+  EXPECT_TRUE(vw.done());
   EXPECT_EQ(sw.had_collision(), bw.had_collision(e));
+  EXPECT_EQ(sw.had_collision(), vw.had_collision());
 }
 
 TEST(BatchLaneWorld, SingleEnvMatchesSerialBitwise) {
@@ -460,7 +474,7 @@ TEST(BatchLaneWorld, SingleEnvMatchesSerialBitwise) {
 
 TEST(BatchLaneWorld, SingleEnvMatchesSerialUnderRealWorldShift) {
   // Latency rings, actuation noise draws, and per-episode dynamics jitter
-  // all consume RNG in the serial order.
+  // all consume RNG in the oracle's order.
   const auto cfg = with_real_world_shift(batch_test_config(3, true));
   BatchLaneWorld bw(cfg, 1);
   for (unsigned seed = 0; seed < 8; ++seed) {
@@ -469,7 +483,7 @@ TEST(BatchLaneWorld, SingleEnvMatchesSerialUnderRealWorldShift) {
 }
 
 TEST(BatchLaneWorld, SixteenEnvsMatchSixteenSerialRuns) {
-  // Every env of a 16-wide batch must reproduce its serial twin bitwise when
+  // Every env of a 16-wide batch must reproduce its oracle twin bitwise when
   // both consume the same counter-based stream — env order in the batch must
   // not leak between lanes.
   const auto cfg = with_real_world_shift(batch_test_config(2, true));
@@ -482,28 +496,25 @@ TEST(BatchLaneWorld, SixteenEnvsMatchSixteenSerialRuns) {
 
 TEST(BatchLaneWorld, BroadPhaseCollisionSetMatchesAllPairs) {
   // Randomized scenes: scatter vehicles (sometimes clustered, sometimes
-  // off-road) and check the sorted-sweep collision set equals the serial
-  // all-pairs OBB result exactly.
+  // off-road) and check the sorted-sweep collision set — of the batch world
+  // and of its LaneWorld view — equals the oracle's all-pairs OBB result
+  // exactly.
   auto cfg = batch_test_config(6, false);
   for (auto& sp : cfg.specs) sp.start_x_jitter = 0.0;  // keep streams trivial
-  // The serial reference must stay genuine all-pairs OBB ground truth — with
-  // the flag on it would use the same sorted sweep as the batch world and the
-  // comparison would be sweep-vs-sweep.
-  auto serial_cfg = cfg;
-  serial_cfg.use_spatial_index = false;
-  LaneWorld sw(serial_cfg);
+  oracle::LaneWorld sw(cfg);
   BatchLaneWorld bw(cfg, 1);
+  LaneWorld vw(cfg);
   Rng scene(42);
   const int n = sw.num_learners();
   std::vector<TwistCmd> cmds(static_cast<std::size_t>(n));
-  std::vector<TwistCmd> bcmds(static_cast<std::size_t>(n));
   std::vector<std::uint8_t> active{1};
   BatchStepResult bout;
   int collisions_seen = 0;
   for (int trial = 0; trial < 300; ++trial) {
-    Rng r1(7), r2(7);
+    Rng r1(7), r2(7), r3(7);
     sw.reset(r1);
     bw.reset_env(0, r2);
+    vw.reset(r3);
     for (int i = 0; i < sw.num_vehicles(); ++i) {
       VehicleState st;
       // Cluster positions so overlaps actually happen; occasionally push a
@@ -512,18 +523,16 @@ TEST(BatchLaneWorld, BroadPhaseCollisionSetMatchesAllPairs) {
       st.y = scene.uniform(-0.4, 0.75);
       st.heading = scene.uniform(-0.8, 0.8);
       st.speed = scene.uniform(0.0, 0.2);
-      sw.mutable_vehicle(i).mutable_state() = st;
+      sw.set_state(i, st);
       bw.set_state(0, i, st);
+      vw.set_state(i, st);
     }
-    for (int k = 0; k < n; ++k) {
-      const TwistCmd c{scene.uniform(0.0, 0.2), scene.uniform(-0.5, 0.5)};
-      cmds[static_cast<std::size_t>(k)] = c;
-      bcmds[static_cast<std::size_t>(k)] = c;
-    }
-    Rng w1(9), w2(9);
+    for (auto& c : cmds) c = {scene.uniform(0.0, 0.2), scene.uniform(-0.5, 0.5)};
+    Rng w1(9), w2(9), w3(9);
     Rng* rngs[1] = {&w2};
     auto sout = sw.step(cmds, w1);
-    bw.step_all(bcmds.data(), rngs, active.data(), bout);
+    bw.step_all(cmds.data(), rngs, active.data(), bout);
+    auto vout = vw.step(cmds, w3);
     if (sout.collision) ++collisions_seen;
     ASSERT_EQ(sout.collision, bout.collision[0] != 0) << "trial " << trial;
     std::vector<int> bhit;
@@ -531,6 +540,7 @@ TEST(BatchLaneWorld, BroadPhaseCollisionSetMatchesAllPairs) {
       if (bw.hit(0, i)) bhit.push_back(i);
     }
     ASSERT_EQ(sout.collided, bhit) << "trial " << trial;
+    ASSERT_EQ(sout.collided, vout.collided) << "trial " << trial;
   }
   // The scene generator must actually produce both outcomes.
   EXPECT_GT(collisions_seen, 10);

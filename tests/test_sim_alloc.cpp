@@ -1,9 +1,8 @@
 // Verifies the zero-allocation contract of the sim sensing hot path: after a
-// warmup pass establishes buffer capacity (scene mirrors, spatial index,
-// staged boxes, lidar scratch), repeated *_obs_into calls — and the batch
-// world's step_all — must not touch the heap, on both the indexed and the
-// all-pairs reference paths. This is what retired the allocating
-// LidarSensor::scan() from the serial hot path (docs/PERFORMANCE.md).
+// warmup pass establishes buffer capacity (spatial index, staged boxes,
+// lidar scratch), repeated *_obs_into calls — through the LaneWorld view and
+// the batch world — and the batch world's step_all must not touch the heap
+// (docs/PERFORMANCE.md).
 //
 // Global operator new/delete are replaced with counting versions; this file
 // is its own test binary so the replacement cannot leak into other suites
@@ -17,7 +16,7 @@
 #include <new>
 #include <vector>
 
-#include "sim/batch_lane_world.h"
+#include "sim/lane_world.h"
 
 namespace {
 std::atomic<long> g_allocations{0};
@@ -52,12 +51,11 @@ long allocations_during(const std::function<void()>& fn) {
   return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
-LaneWorldConfig alloc_test_config(int vehicles, bool use_index) {
+LaneWorldConfig alloc_test_config(int vehicles) {
   LaneWorldConfig cfg;
   cfg.track = {8.0, 0.35, 2};
   cfg.dt = 0.5;
   cfg.max_steps = 1000;  // keep episodes open for the whole measurement
-  cfg.use_spatial_index = use_index;
   cfg.lidar.noise_stddev = 0.02;  // noise draws must be alloc-free too
   for (int i = 0; i < vehicles; ++i) {
     VehicleSpec s;
@@ -81,33 +79,32 @@ void serial_obs_pass(const LaneWorld& world, std::vector<double>& hl,
 }
 
 TEST(SimAllocationCount, SerialObsSteadyStateIsAllocFree) {
-  for (const bool use_index : {true, false}) {
-    LaneWorld world(alloc_test_config(8, use_index));
-    Rng rng(1), noise(2);
-    world.reset(rng);
-    std::vector<double> hl(world.high_level_obs_dim());
-    std::vector<double> ll(world.low_level_obs_dim());
+  LaneWorld world(alloc_test_config(8));
+  Rng rng(1), noise(2);
+  world.reset(rng);
+  std::vector<double> hl(world.high_level_obs_dim());
+  std::vector<double> ll(world.low_level_obs_dim());
 
-    // Warmup: size the scene mirrors, index storage and lidar scratch.
-    for (int i = 0; i < 2; ++i) serial_obs_pass(world, hl, ll, noise);
+  // Warmup: size the index storage and lidar scratch.
+  for (int i = 0; i < 2; ++i) serial_obs_pass(world, hl, ll, noise);
 
-    const long n = allocations_during([&] {
-      for (int iter = 0; iter < 10; ++iter) {
-        // Perturb a vehicle so every iteration re-sorts the index — the
-        // rebuild itself must be allocation-free, not just the cached reads.
-        world.mutable_vehicle(iter % world.num_vehicles()).mutable_state().x =
-            world.track().wrap_x(0.37 * static_cast<double>(iter));
-        serial_obs_pass(world, hl, ll, noise);
-      }
-    });
-    EXPECT_EQ(n, 0) << n << " heap allocations in 10 steady-state obs passes"
-                    << " (use_spatial_index=" << use_index << ")";
-  }
+  const long n = allocations_during([&] {
+    for (int iter = 0; iter < 10; ++iter) {
+      // Move a vehicle so every iteration re-sorts the index — the rebuild
+      // itself must be allocation-free, not just the cached reads.
+      const int i = iter % world.num_vehicles();
+      VehicleState st = world.state(i);
+      st.x = world.track().wrap_x(0.37 * static_cast<double>(iter));
+      world.set_state(i, st);
+      serial_obs_pass(world, hl, ll, noise);
+    }
+  });
+  EXPECT_EQ(n, 0) << n << " heap allocations in 10 steady-state obs passes";
 }
 
 TEST(SimAllocationCount, BatchStepAndObsSteadyStateIsAllocFree) {
   const int kEnvs = 4;
-  BatchLaneWorld world(alloc_test_config(6, true), kEnvs);
+  BatchLaneWorld world(alloc_test_config(6), kEnvs);
   const int n_learners = world.num_learners();
   std::vector<Rng> rngs;
   std::vector<Rng*> rng_ptrs;

@@ -1,10 +1,10 @@
 // SpatialIndex unit tests and the sensing-equivalence suite: the shared
 // arc-length index (and the lidar's angular-interval cull) are conservative
 // pruners, so every observation and collision set must stay *bitwise*
-// identical to the all-pairs reference paths — every EXPECT/ASSERT_EQ on a
-// double below is an exact comparison on purpose (docs/PERFORMANCE.md,
-// "Spatial neighbor index"). Also covers the declarative scenario loader
-// that feeds the dense-traffic benchmark.
+// identical to the all-pairs test oracle (support/sim_oracle.h) — every
+// EXPECT/ASSERT_EQ on a double below is an exact comparison on purpose
+// (docs/PERFORMANCE.md, "Spatial neighbor index"). Also covers the
+// declarative scenario loader that feeds the dense-traffic benchmark.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,10 +13,10 @@
 #include <string>
 #include <vector>
 
-#include "sim/batch_lane_world.h"
 #include "sim/lidar.h"
 #include "sim/scenario.h"
 #include "sim/spatial_index.h"
+#include "support/sim_oracle.h"
 
 namespace hero::sim {
 namespace {
@@ -152,8 +152,8 @@ TEST(LidarCull, MatchesAllPairsOnRandomBoxSets) {
     const double heading = rng.uniform(-M_PI, M_PI);
     lidar.scan_into(0.0, 0.0, heading, boxes.data(), boxes.size(), nullptr,
                     culled.data());
-    lidar.scan_into_allpairs(0.0, 0.0, heading, boxes.data(), boxes.size(),
-                             nullptr, reference.data());
+    oracle::scan_allpairs(lidar.config(), 0.0, 0.0, heading, boxes.data(),
+                          boxes.size(), nullptr, reference.data());
     for (int b = 0; b < 24; ++b) {
       ASSERT_EQ(culled[static_cast<std::size_t>(b)],
                 reference[static_cast<std::size_t>(b)])
@@ -211,8 +211,8 @@ TEST(LidarCull, PreservesNoiseDrawOrder) {
     Rng n2(400 + static_cast<unsigned>(trial));
     lidar.scan_into(0.0, 0.0, 0.3, boxes.data(), boxes.size(), &n1,
                     culled.data());
-    lidar.scan_into_allpairs(0.0, 0.0, 0.3, boxes.data(), boxes.size(), &n2,
-                             reference.data());
+    oracle::scan_allpairs(lidar.config(), 0.0, 0.0, 0.3, boxes.data(),
+                          boxes.size(), &n2, reference.data());
     for (int b = 0; b < 24; ++b) {
       ASSERT_EQ(culled[static_cast<std::size_t>(b)],
                 reference[static_cast<std::size_t>(b)])
@@ -251,12 +251,12 @@ VehicleState random_state(Rng& rng, double circumference, bool clustered) {
 // The squared-distance reach prune must make exactly the same keep/skip
 // decision as the hypot compare it replaced, including at the threshold
 // itself: sweep an obstacle across the prune boundary and require bitwise
-// obs agreement between the indexed and all-pairs paths at every offset.
+// obs agreement between the pruned production path and the unpruned oracle
+// at every offset.
 TEST(SensingEquivalence, ReachPruneBoundaryIsExact) {
-  auto cfg = sensing_test_config(2);
-  auto cfg_off = cfg;
-  cfg_off.use_spatial_index = false;
-  LaneWorld won(cfg), woff(cfg_off);
+  const auto cfg = sensing_test_config(2);
+  LaneWorld won(cfg);
+  oracle::LaneWorld woff(cfg);
   const double reach =
       std::hypot(0.5 * cfg.vehicle.length, 0.5 * cfg.vehicle.width);
   const double thr = cfg.lidar.max_range + reach + 1e-9;
@@ -270,10 +270,10 @@ TEST(SensingEquivalence, ReachPruneBoundaryIsExact) {
     VehicleState other;
     other.x = won.track().wrap_x(1.0 + thr + d);
     other.speed = 0.1;
-    won.mutable_vehicle(0).mutable_state() = ego;
-    won.mutable_vehicle(1).mutable_state() = other;
-    woff.mutable_vehicle(0).mutable_state() = ego;
-    woff.mutable_vehicle(1).mutable_state() = other;
+    won.set_state(0, ego);
+    won.set_state(1, other);
+    woff.set_state(0, ego);
+    woff.set_state(1, other);
     won.high_level_obs_into(0, on.data());
     woff.high_level_obs_into(0, off.data());
     for (std::size_t k = 0; k < on.size(); ++k) {
@@ -281,8 +281,10 @@ TEST(SensingEquivalence, ReachPruneBoundaryIsExact) {
     }
   }
   // Sanity: a genuinely near leader is visible on both paths.
-  won.mutable_vehicle(1).mutable_state().x = 2.0;
-  woff.mutable_vehicle(1).mutable_state().x = 2.0;
+  VehicleState near = won.state(1);
+  near.x = 2.0;
+  won.set_state(1, near);
+  woff.set_state(1, near);
   won.high_level_obs_into(0, on.data());
   woff.high_level_obs_into(0, off.data());
   EXPECT_EQ(on[0], off[0]);
@@ -290,10 +292,9 @@ TEST(SensingEquivalence, ReachPruneBoundaryIsExact) {
 }
 
 TEST(SensingEquivalence, SerialIndexedMatchesAllPairsOn300RandomScenes) {
-  auto cfg = sensing_test_config(8);
-  auto cfg_off = cfg;
-  cfg_off.use_spatial_index = false;
-  LaneWorld won(cfg), woff(cfg_off);
+  const auto cfg = sensing_test_config(8);
+  LaneWorld won(cfg);
+  oracle::LaneWorld woff(cfg);
   Rng scene(77);
   const int n = won.num_learners();
   const int v = won.num_vehicles();
@@ -314,8 +315,8 @@ TEST(SensingEquivalence, SerialIndexedMatchesAllPairsOn300RandomScenes) {
     for (int i = 0; i < v; ++i) {
       const VehicleState st =
           random_state(scene, cfg.track.circumference, trial % 3 == 0);
-      won.mutable_vehicle(i).mutable_state() = st;
-      woff.mutable_vehicle(i).mutable_state() = st;
+      won.set_state(i, st);
+      woff.set_state(i, st);
     }
     for (int i = 0; i < v; ++i) {
       won.high_level_obs_into(i, hl_on.data());
@@ -351,9 +352,8 @@ TEST(SensingEquivalence, SerialNoisyObsMatchWithSameSeed) {
   auto cfg = sensing_test_config(6);
   cfg.lidar.noise_stddev = 0.05;
   cfg.camera.noise_stddev = 0.05;
-  auto cfg_off = cfg;
-  cfg_off.use_spatial_index = false;
-  LaneWorld won(cfg), woff(cfg_off);
+  LaneWorld won(cfg);
+  oracle::LaneWorld woff(cfg);
   Rng scene(91);
   std::vector<double> hl_on(won.high_level_obs_dim());
   std::vector<double> hl_off(woff.high_level_obs_dim());
@@ -363,8 +363,8 @@ TEST(SensingEquivalence, SerialNoisyObsMatchWithSameSeed) {
     for (int i = 0; i < won.num_vehicles(); ++i) {
       const VehicleState st =
           random_state(scene, cfg.track.circumference, trial % 2 == 0);
-      won.mutable_vehicle(i).mutable_state() = st;
-      woff.mutable_vehicle(i).mutable_state() = st;
+      won.set_state(i, st);
+      woff.set_state(i, st);
     }
     for (int i = 0; i < won.num_vehicles(); ++i) {
       Rng n1(700 + static_cast<unsigned>(trial));
@@ -384,11 +384,9 @@ TEST(SensingEquivalence, SerialNoisyObsMatchWithSameSeed) {
 }
 
 TEST(SensingEquivalence, BatchSingleEnvMatchesAllPairsOn300RandomScenes) {
-  auto cfg = sensing_test_config(8);
-  auto cfg_off = cfg;
-  cfg_off.use_spatial_index = false;
+  const auto cfg = sensing_test_config(8);
   BatchLaneWorld bw(cfg, 1);
-  LaneWorld ref(cfg_off);
+  oracle::LaneWorld ref(cfg);
   Rng scene(123);
   std::vector<double> hl_b(bw.high_level_obs_dim());
   std::vector<double> hl_r(ref.high_level_obs_dim());
@@ -399,7 +397,7 @@ TEST(SensingEquivalence, BatchSingleEnvMatchesAllPairsOn300RandomScenes) {
       const VehicleState st =
           random_state(scene, cfg.track.circumference, trial % 3 == 0);
       bw.set_state(0, i, st);
-      ref.mutable_vehicle(i).mutable_state() = st;
+      ref.set_state(i, st);
     }
     for (int i = 0; i < ref.num_vehicles(); ++i) {
       bw.high_level_obs_into(0, i, hl_b.data());
@@ -420,11 +418,9 @@ TEST(SensingEquivalence, BatchSingleEnvMatchesAllPairsOn300RandomScenes) {
 }
 
 TEST(SensingEquivalence, BatchSixteenEnvsMatchAllPairsReference) {
-  auto cfg = sensing_test_config(6);
-  auto cfg_off = cfg;
-  cfg_off.use_spatial_index = false;
+  const auto cfg = sensing_test_config(6);
   BatchLaneWorld bw(cfg, 16);
-  LaneWorld ref(cfg_off);
+  oracle::LaneWorld ref(cfg);
   Rng scene(321);
   std::vector<double> hl_b(bw.high_level_obs_dim());
   std::vector<double> hl_r(ref.high_level_obs_dim());
@@ -445,8 +441,7 @@ TEST(SensingEquivalence, BatchSixteenEnvsMatchAllPairsReference) {
     }
     for (int e = 0; e < 16; ++e) {
       for (int i = 0; i < ref.num_vehicles(); ++i) {
-        ref.mutable_vehicle(i).mutable_state() =
-            states[static_cast<std::size_t>(e * ref.num_vehicles() + i)];
+        ref.set_state(i, states[static_cast<std::size_t>(e * ref.num_vehicles() + i)]);
       }
       for (int i = 0; i < ref.num_vehicles(); ++i) {
         bw.high_level_obs_into(e, i, hl_b.data());
@@ -530,20 +525,11 @@ TEST(ScenarioLoader, ExplicitVehicleList) {
   EXPECT_EQ(sc.merger_target_lane, 0);
 }
 
-TEST(ScenarioLoader, SpatialIndexKnobIsHonored) {
-  const std::string path = write_scenario("noindex.json", R"({
-    "use_spatial_index": false,
-    "traffic": {"num_vehicles": 4}
-  })");
-  EXPECT_FALSE(load_scenario(path).config.use_spatial_index);
-}
-
 TEST(ScenarioLoader, CheckedInDenseScenarioLoadsAndRuns) {
   const Scenario sc =
       load_scenario(HERO_SCENARIO_DIR "/dense_traffic.json", 64);
   EXPECT_EQ(sc.config.specs.size(), 64u);
   EXPECT_EQ(sc.config.track.num_lanes, 3);
-  EXPECT_TRUE(sc.config.use_spatial_index);
   EXPECT_FALSE(sc.config.specs[static_cast<std::size_t>(sc.merger_index)]
                    .scripted);
   // The generated layout must actually reset and step.
@@ -597,6 +583,48 @@ TEST(ScenarioLoader, RejectsInvalidConfigs) {
     "vehicles": [{"lane": 7}]
   })")),
                std::runtime_error);
+  // Integer fields reject fractional, out-of-range and non-finite numbers
+  // with an error naming the key, instead of truncating or overflowing.
+  const auto expect_rejects_int = [](const std::string& name,
+                                     const std::string& body,
+                                     const std::string& key) {
+    try {
+      load_scenario(write_scenario(name, body));
+      ADD_FAILURE() << name << ": loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(key + " must be an integer"),
+                std::string::npos)
+          << name << ": " << e.what();
+    }
+  };
+  expect_rejects_int("fraclanes.json", R"({
+    "track": {"num_lanes": 2.5}, "traffic": {"num_vehicles": 4}
+  })",
+                     "track.num_lanes");
+  expect_rejects_int("fraclane.json", R"({"vehicles": [{"lane": 0.5}]})",
+                     "vehicles[].lane");
+  expect_rejects_int("fracmerger.json", R"({
+    "merger_index": 0.9, "traffic": {"num_vehicles": 4}
+  })",
+                     "merger_index");
+  expect_rejects_int("hugesteps.json", R"({
+    "max_steps": 1e10, "traffic": {"num_vehicles": 4}
+  })",
+                     "max_steps");
+  expect_rejects_int("infsteps.json", R"({
+    "max_steps": -1e999, "traffic": {"num_vehicles": 4}
+  })",
+                     "max_steps");
+  expect_rejects_int("fracvehicles.json", R"({"traffic": {"num_vehicles": 4.5}})",
+                     "traffic.num_vehicles");
+  expect_rejects_int("fracplodder.json", R"({
+    "traffic": {"num_vehicles": 4, "plodder_every": 1.5}
+  })",
+                     "traffic.plodder_every");
+  expect_rejects_int("fractarget.json", R"({
+    "merger_target_lane": 0.5, "traffic": {"num_vehicles": 4}
+  })",
+                     "merger_target_lane");
 }
 
 }  // namespace

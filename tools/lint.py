@@ -37,8 +37,8 @@ Rules (docs/CORRECTNESS.md):
                         all step scratch is sized at construction, mirroring
                         R2's no-alloc contract for *_into kernels. The shared
                         sensing kernels ride the same contract:
-                        SpatialIndex::build/query, BatchLaneWorld::ensure_index
-                        and LaneWorld::ensure_scene run inside every step and
+                        SpatialIndex::build/query and
+                        BatchLaneWorld::ensure_index run inside every step and
                         obs call (docs/PERFORMANCE.md, "Spatial neighbor
                         index").
   R7  no-raw-clock      std::chrono::steady_clock (and the other std::chrono
@@ -277,14 +277,11 @@ class NoGrowthInBatchStep(Rule):
         (re.compile(r"\.(push_back|emplace_back)\s*\("), "per-element growth"),
     ]
     # step* phases plus the shared sensing kernels that run inside them:
-    # the per-step index rebuild / window queries and the serial world's
-    # scene-mirror refresh must stay growth-free too. (The serial
-    # detect_collisions is excluded on purpose: it fills the caller's
-    # StepResult::collided, which is per-call output, not step scratch.)
+    # the per-step index rebuild and window queries must stay growth-free
+    # too.
     STEP_DEF = re.compile(
         r"\b((?:BatchLaneWorld::(?:step\w*|ensure_index)|"
-        r"SpatialIndex::(?:build|query\w*)|"
-        r"LaneWorld::ensure_scene))\s*\(")
+        r"SpatialIndex::(?:build|query\w*)))\s*\(")
 
     def check(self, f: SourceFile, ctx: dict) -> list[Violation]:
         out = []

@@ -177,7 +177,10 @@ PYEOF
 # Spatial-index speedup gate (docs/PERFORMANCE.md §Spatial index): both sides
 # are measured in this same run, so the ratio is immune to machine-speed
 # drift. The shared index must keep dense-traffic stepping at least 4x the
-# all-pairs baseline at V=128.
+# all-pairs baseline at V=128. That baseline lives in bench/bench_json.cpp
+# (AllPairsSensing): the same step_all, then reach-pruned all-pairs lidar
+# staging, the every-beam narrow phase and the full-scan camera of the test
+# oracle (tests/support/sim_oracle.h) — src/ keeps only the indexed path.
 python3 - "$repo_root/BENCH_train.json" <<'PYEOF' || status=1
 import json, sys
 
