@@ -129,11 +129,10 @@ std::vector<BenchResult> run_nn_cases(double min_time) {
   }
 
   {
-    // Phase-attribution scope cost (obs/phase.h). "off" is what every
-    // uninstrumented run pays at each OBS_PHASE site — one relaxed
-    // atomic-bool load, asserted to stay in the noise by
-    // tools/run_benchmarks.sh. "on" adds two clock reads and two relaxed
-    // atomic adds (the --metrics-out price).
+    // Scope cost (obs/phase.h). "off" is what every uninstrumented run pays
+    // at each OBS_PHASE site — one relaxed load of the sink word, asserted
+    // to stay in the noise by tools/run_benchmarks.sh. "on" feeds the phase
+    // tree alone: two clock reads and two relaxed atomic adds.
     out.push_back(time_case("BM_PhaseScope/off", min_time, [&] {
       OBS_PHASE("bench_phase");
     }));

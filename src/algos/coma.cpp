@@ -102,7 +102,6 @@ std::vector<sim::TwistCmd> ComaTrainer::act(const sim::LaneWorld& world, Rng& rn
 
 void ComaTrainer::update_from_episode(const std::vector<StepRecord>& episode,
                                       Rng& rng) {
-  OBS_SPAN("coma/update");
   OBS_PHASE("update");
   (void)rng;
   if (episode.empty()) return;
@@ -177,7 +176,6 @@ void ComaTrainer::update_from_episode(const std::vector<StepRecord>& episode,
 
 void ComaTrainer::train(int episodes, Rng& rng, const EpisodeHook& hook) {
   for (int ep = 0; ep < episodes; ++ep) {
-    OBS_SPAN("coma/episode");
     OBS_PHASE("episode");
     world_.reset(rng);
     rl::EpisodeStats stats;

@@ -143,7 +143,7 @@ double IndependentDqnTrainer::update_math(int agent,
 }
 
 double IndependentDqnTrainer::update_agent(int agent, Rng& rng) {
-  OBS_SPAN("dqn/update");
+  OBS_PHASE("agent_update");
   const std::size_t ai = static_cast<std::size_t>(agent);
   const std::size_t have =
       cfg_.prioritized ? per_buffers_[ai].size() : buffers_[ai].size();
@@ -186,7 +186,6 @@ void IndependentDqnTrainer::update_round(Rng& rng) {
     for (int k = 0; k < n; ++k) update_agent(k, rng);
     return;
   }
-  OBS_SPAN("dqn/update_round");
   // Draw every batch serially in agent order (the only RNG consumer), then
   // fan the per-agent gradient math out — each task touches only
   // agent-indexed nets/optimizers/scratch, so the result is bitwise
@@ -234,7 +233,6 @@ void IndependentDqnTrainer::train_batched(int episodes, Rng& rng,
 
   int done_eps = 0;
   while (done_eps < episodes) {
-    OBS_SPAN("dqn/batched_round");
     OBS_PHASE("batched_round");
     const std::size_t round = std::min<std::size_t>(
         static_cast<std::size_t>(envs), static_cast<std::size_t>(episodes - done_eps));
@@ -348,7 +346,6 @@ void IndependentDqnTrainer::train(int episodes, Rng& rng, const EpisodeHook& hoo
     return;
   }
   for (int ep = 0; ep < episodes; ++ep) {
-    OBS_SPAN("dqn/episode");
     OBS_PHASE("episode");
     world_.reset(rng);
     rl::EpisodeStats stats;

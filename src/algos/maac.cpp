@@ -100,7 +100,6 @@ std::vector<sim::TwistCmd> MaacTrainer::act(const sim::LaneWorld& world, Rng& rn
 }
 
 void MaacTrainer::update(Rng& rng) {
-  OBS_SPAN("maac/update");
   OBS_PHASE("update");
   if (!buffer_.ready(std::max(cfg_.batch, cfg_.warmup_steps))) return;
   auto batch = buffer_.sample(cfg_.batch, rng);
@@ -251,7 +250,6 @@ void MaacTrainer::update(Rng& rng) {
 
 void MaacTrainer::train(int episodes, Rng& rng, const EpisodeHook& hook) {
   for (int ep = 0; ep < episodes; ++ep) {
-    OBS_SPAN("maac/episode");
     OBS_PHASE("episode");
     world_.reset(rng);
     rl::EpisodeStats stats;

@@ -102,7 +102,6 @@ std::vector<sim::TwistCmd> MaddpgTrainer::act(const sim::LaneWorld& world, Rng& 
 }
 
 void MaddpgTrainer::update(Rng& rng) {
-  OBS_SPAN("maddpg/update");
   OBS_PHASE("update");
   if (!buffer_.ready(std::max(cfg_.batch, cfg_.warmup_steps))) return;
   auto batch = buffer_.sample(cfg_.batch, rng);
@@ -205,7 +204,6 @@ void MaddpgTrainer::update_agent(int i, const std::vector<const Transition*>& ba
 
 void MaddpgTrainer::train(int episodes, Rng& rng, const EpisodeHook& hook) {
   for (int ep = 0; ep < episodes; ++ep) {
-    OBS_SPAN("maddpg/episode");
     OBS_PHASE("episode");
     world_.reset(rng);
     rl::EpisodeStats stats;

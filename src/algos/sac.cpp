@@ -6,7 +6,6 @@
 #include "nn/losses.h"
 #include "obs/phase.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace hero::algos {
 
@@ -42,7 +41,6 @@ SacUpdateStats SacAgent::observe(std::vector<double> obs, std::vector<double> ac
 
 SacUpdateStats SacAgent::update(Rng& rng) {
   if (!buffer_.ready(std::max(cfg_.batch, cfg_.warmup_steps))) return {};
-  OBS_SPAN("sac/update");
   OBS_PHASE("update");
   if (obs::metrics_enabled()) {
     obs::Registry::instance().counter("sac.updates").inc();

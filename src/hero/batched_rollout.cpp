@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/phase.h"
-#include "obs/trace.h"
 
 namespace hero::core {
 
@@ -64,7 +63,6 @@ void BatchedRollout::begin_lane(std::size_t lane) {
 
 void BatchedRollout::run_round(std::uint64_t root, std::size_t first,
                                std::size_t count, bool observing) {
-  OBS_SPAN("runtime/batch_rollout");
   OBS_PHASE("rollout");
   HERO_CHECK(count <= static_cast<std::size_t>(E_));
   sched_.begin_round(root, first, count);

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "hero/hero_trainer.h"
+#include "obs/json.h"
 #include "obs/obs.h"
 
 namespace hero::core {
@@ -30,52 +31,8 @@ void append_escaped(std::string& out, const std::string& s) {
   }
 }
 
-// Finds `"key": ` in `text` and returns the character offset of the value,
-// or npos.
-std::size_t value_offset(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  std::size_t pos = text.find(needle);
-  if (pos == std::string::npos) return pos;
-  pos += needle.size();
-  while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\n')) ++pos;
-  return pos;
-}
-
-long long parse_int_field(const std::string& text, const std::string& key,
-                          const std::string& dir) {
-  const std::size_t pos = value_offset(text, key);
-  if (pos == std::string::npos) {
-    throw std::runtime_error("checkpoint manifest " + dir +
-                             "/checkpoint.json is missing field \"" + key + "\"");
-  }
-  std::size_t end = pos;
-  while (end < text.size() &&
-         ((text[end] >= '0' && text[end] <= '9') || text[end] == '-')) {
-    ++end;
-  }
-  if (end == pos) {
-    throw std::runtime_error("checkpoint manifest " + dir +
-                             "/checkpoint.json: field \"" + key +
-                             "\" is not an integer");
-  }
-  return std::stoll(text.substr(pos, end - pos));
-}
-
-std::string parse_string_field(const std::string& text, const std::string& key,
-                               const std::string& dir) {
-  std::size_t pos = value_offset(text, key);
-  if (pos == std::string::npos || pos >= text.size() || text[pos] != '"') {
-    throw std::runtime_error("checkpoint manifest " + dir +
-                             "/checkpoint.json is missing string field \"" + key +
-                             "\"");
-  }
-  ++pos;
-  std::string out;
-  while (pos < text.size() && text[pos] != '"') {
-    if (text[pos] == '\\' && pos + 1 < text.size()) ++pos;
-    out += text[pos++];
-  }
-  return out;
+[[noreturn]] void manifest_error(const std::string& path, const std::string& what) {
+  throw std::runtime_error("checkpoint manifest " + path + ": " + what);
 }
 
 }  // namespace
@@ -159,42 +116,48 @@ bool read_manifest(const std::string& dir, CheckpointManifest* out) {
   if (!in) return false;
   std::ostringstream buf;
   buf << in.rdbuf();
-  const std::string text = buf.str();
+
+  obs::JsonValue doc;
+  std::string err;
+  if (!obs::JsonValue::parse(buf.str(), doc, &err)) {
+    manifest_error(path, "malformed JSON: " + err);
+  }
+  if (!doc.is_object()) manifest_error(path, "top-level value must be an object");
+  const auto field = [&](const std::string& key) -> const obs::JsonValue& {
+    const obs::JsonValue* v = doc.find(key);
+    if (!v) manifest_error(path, "missing field \"" + key + "\"");
+    return *v;
+  };
+  const auto int_field = [&](const std::string& key) {
+    const obs::JsonValue& v = field(key);
+    if (!v.is_number() || !obs::is_int(v.num_v)) {
+      manifest_error(path, "field \"" + key + "\" must be an integer");
+    }
+    return static_cast<int>(v.num_v);
+  };
+  const auto string_field = [&](const std::string& key) {
+    const obs::JsonValue& v = field(key);
+    if (!v.is_string()) manifest_error(path, "field \"" + key + "\" must be a string");
+    return v.str_v;
+  };
 
   CheckpointManifest m;
-  m.format_version = static_cast<int>(parse_int_field(text, "checkpoint_format", dir));
-  m.git_sha = parse_string_field(text, "git_sha", dir);
-  m.build_type = parse_string_field(text, "build_type", dir);
-  m.config_digest = parse_string_field(text, "config_digest", dir);
-  m.learners = static_cast<int>(parse_int_field(text, "learners", dir));
-  m.num_options = static_cast<int>(parse_int_field(text, "num_options", dir));
-  m.num_lanes = static_cast<int>(parse_int_field(text, "num_lanes", dir));
-  m.hl_obs_dim = parse_int_field(text, "hl_obs_dim", dir);
-  m.ll_obs_dim = parse_int_field(text, "ll_obs_dim", dir);
-
-  std::size_t pos = value_offset(text, "shapes");
-  if (pos == std::string::npos || text[pos] != '{') {
-    throw std::runtime_error("checkpoint manifest " + path +
-                             " is missing the \"shapes\" object");
-  }
-  const std::size_t close = text.find('}', pos);
-  if (close == std::string::npos) {
-    throw std::runtime_error("checkpoint manifest " + path +
-                             ": unterminated \"shapes\" object");
-  }
-  std::size_t cur = pos + 1;
-  while (true) {
-    const std::size_t q0 = text.find('"', cur);
-    if (q0 == std::string::npos || q0 > close) break;
-    const std::size_t q1 = text.find('"', q0 + 1);
-    const std::size_t q2 = text.find('"', q1 + 1);
-    const std::size_t q3 = text.find('"', q2 + 1);
-    if (q3 == std::string::npos || q3 > close) {
-      throw std::runtime_error("checkpoint manifest " + path +
-                               ": malformed \"shapes\" entry");
+  m.format_version = int_field("checkpoint_format");
+  m.git_sha = string_field("git_sha");
+  m.build_type = string_field("build_type");
+  m.config_digest = string_field("config_digest");
+  m.learners = int_field("learners");
+  m.num_options = int_field("num_options");
+  m.num_lanes = int_field("num_lanes");
+  m.hl_obs_dim = int_field("hl_obs_dim");
+  m.ll_obs_dim = int_field("ll_obs_dim");
+  const obs::JsonValue& shapes = field("shapes");
+  if (!shapes.is_object()) manifest_error(path, "field \"shapes\" must be an object");
+  for (const auto& [name, shape] : shapes.members) {
+    if (!shape.is_string()) {
+      manifest_error(path, "field \"shapes\": \"" + name + "\" must be a string");
     }
-    m.shapes[text.substr(q0 + 1, q1 - q0 - 1)] = text.substr(q2 + 1, q3 - q2 - 1);
-    cur = q3 + 1;
+    m.shapes[name] = shape.str_v;
   }
   *out = m;
   return true;

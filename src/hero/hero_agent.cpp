@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/phase.h"
-#include "obs/trace.h"
 
 namespace hero::core {
 
@@ -54,11 +53,9 @@ void HeroAgent::maybe_reselect(const sim::LaneWorld& world, int vehicle, Rng& rn
 }
 
 AgentUpdateStats HeroAgent::update(Rng& rng) {
-  OBS_SPAN("stage2/update");
   OBS_PHASE("update");
   AgentUpdateStats stats;
   {
-    OBS_SPAN("stage2/update/opponent");
     OBS_PHASE("opponent_update");
     const auto losses = opponents_->update_all(rng);
     for (std::size_t j = 0; j < losses.size(); ++j) {

@@ -246,7 +246,6 @@ void HeroTrainer::train(int episodes, Rng& rng, const algos::EpisodeHook& hook) 
     batched_->run_round(root, static_cast<std::size_t>(done_eps), round, observing);
 
     {
-      OBS_SPAN("runtime/learn");
       OBS_PHASE("learn");
       // Merge in lane order == canonical episode order: replay stores
       // agent-major FIFO, opponent labels (agent, opponent)-major FIFO.

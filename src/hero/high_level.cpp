@@ -4,7 +4,6 @@
 
 #include "nn/losses.h"
 #include "obs/phase.h"
-#include "obs/trace.h"
 #include "rl/exploration.h"
 
 namespace hero::core {
@@ -107,7 +106,7 @@ HighLevelUpdateStats HighLevelAgent::update(OpponentModel& opponents, Rng& rng) 
   //   kMax:      y = R + γ^c·max_o' Q'(s', o', ô')
   //   kExpected: y = R + γ^c·Σ_o' π(o'|s', ô') Q'(s', o', ô')
   {
-  OBS_SPAN("stage2/update/critic");
+  OBS_PHASE("critic");
   targets_.resize(B);
   {
     // Assemble per-sample next-state actor inputs and all 4 next-Q inputs.
@@ -165,7 +164,7 @@ HighLevelUpdateStats HighLevelAgent::update(OpponentModel& opponents, Rng& rng) 
 
   // ----- actor: ∇logπ(o|s, ô)·A with A = Q(s,o,·) − Σ_o π Q, plus entropy --
   {
-    OBS_SPAN("stage2/update/actor");
+    OBS_PHASE("actor");
     fill_blocks([&](std::size_t b) -> const std::vector<double>& {
       return batch[b]->obs;
     });

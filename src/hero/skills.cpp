@@ -94,7 +94,6 @@ std::vector<double> SkillBank::train_skill(
   curve.reserve(static_cast<std::size_t>(episodes));
 
   for (int ep = 0; ep < episodes; ++ep) {
-    OBS_SPAN("stage1/episode");
     OBS_PHASE("skill_episode");
     world.reset(rng);
     // Start-state randomization: lateral offset and heading jitter force the

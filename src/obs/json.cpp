@@ -1,7 +1,9 @@
 #include "obs/json.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace hero::obs {
 
@@ -32,12 +34,17 @@ struct Parser {
   const std::string& text;
   std::size_t pos = 0;
   std::string* err;
+  std::vector<std::string> keys;  // members being parsed, outermost first
 
   bool fail(const char* what) {
     if (err) {
       *err = what;
       *err += " at offset ";
       *err += std::to_string(pos);
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        *err += i == 0 ? " in member " : ".";
+        *err += keys[i];
+      }
     }
     return false;
   }
@@ -154,9 +161,11 @@ struct Parser {
         skip_ws();
         if (pos >= text.size() || text[pos] != ':') return fail("expected ':'");
         ++pos;
+        keys.push_back(std::move(key));
         JsonValue v;
         if (!parse_value(v, depth + 1)) return false;
-        out.members.emplace_back(std::move(key), std::move(v));
+        out.members.emplace_back(std::move(keys.back()), std::move(v));
+        keys.pop_back();
         skip_ws();
         if (pos >= text.size()) return fail("unterminated object");
         if (text[pos] == ',') {
@@ -213,11 +222,17 @@ struct Parser {
 bool JsonValue::parse(const std::string& text, JsonValue& out,
                       std::string* err) {
   out = JsonValue();
-  Parser p{text, 0, err};
+  Parser p{text, 0, err, {}};
   if (!p.parse_value(out, 0)) return false;
   p.skip_ws();
   if (p.pos != text.size()) return p.fail("trailing garbage");
   return true;
+}
+
+bool is_int(double v) {
+  return std::isfinite(v) && v == std::trunc(v) &&
+         v >= static_cast<double>(std::numeric_limits<int>::min()) &&
+         v <= static_cast<double>(std::numeric_limits<int>::max());
 }
 
 }  // namespace hero::obs

@@ -43,9 +43,15 @@ class JsonValue {
 
   // Parses one complete JSON document (trailing whitespace allowed, trailing
   // garbage rejected). Returns false on malformed input; `err`, when given,
-  // receives a short description with the byte offset.
+  // receives a short description with the byte offset and the member it
+  // happened in ("bad number at offset 80 in member learners").
   static bool parse(const std::string& text, JsonValue& out,
                     std::string* err = nullptr);
 };
+
+// True when `v` is finite, whole and within int range, so static_cast<int>
+// is exact. JSON numbers are doubles: an unchecked cast truncates 2.5 and is
+// undefined past INT_MAX. Every loader reads its integer fields through it.
+bool is_int(double v);
 
 }  // namespace hero::obs

@@ -10,12 +10,16 @@
 namespace hero::obs {
 
 namespace detail {
-std::atomic<bool> g_metrics_enabled{false};
-}
+std::atomic<unsigned> g_sinks{0};
 
-void set_metrics_enabled(bool on) {
-  detail::g_metrics_enabled.store(on, std::memory_order_relaxed);
+void set_sink(unsigned bit, bool on) {
+  if (on) {
+    g_sinks.fetch_or(bit, std::memory_order_relaxed);
+  } else {
+    g_sinks.fetch_and(~bit, std::memory_order_relaxed);
+  }
 }
+}  // namespace detail
 
 namespace {
 

@@ -26,13 +26,21 @@
 namespace hero::obs {
 
 namespace detail {
-extern std::atomic<bool> g_metrics_enabled;
-}
+// The on/off switches of the three obs sinks, one bit each in one word: the
+// metrics registry (here), the phase tree (obs/phase.h) and the Chrome trace
+// (obs/trace.h). One word makes a scope's "is any sink on?" test a single
+// relaxed load, and set_sink's fetch_or/fetch_and never loses a concurrent
+// setter's bit.
+enum : unsigned { kMetricsSink = 1u, kPhaseSink = 2u, kTraceSink = 4u };
+extern std::atomic<unsigned> g_sinks;
+inline unsigned sinks() { return g_sinks.load(std::memory_order_relaxed); }
+void set_sink(unsigned bit, bool on);
+}  // namespace detail
 
-inline bool metrics_enabled() {
-  return detail::g_metrics_enabled.load(std::memory_order_relaxed);
+inline bool metrics_enabled() { return detail::sinks() & detail::kMetricsSink; }
+inline void set_metrics_enabled(bool on) {
+  detail::set_sink(detail::kMetricsSink, on);
 }
-void set_metrics_enabled(bool on);
 
 // Monotonically increasing event count.
 class Counter {

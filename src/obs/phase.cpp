@@ -1,26 +1,24 @@
 #include "obs/phase.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <map>
 
-#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace hero::obs {
 
 namespace detail {
 
-std::atomic<bool> g_phases_enabled{false};
-
-std::uint64_t phase_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 namespace {
+// Origin of now_us() and of trace timestamps. Pinned during static
+// initialisation, so it precedes every scope's start.
+std::uint64_t epoch_ns() {
+  static const std::uint64_t t0 = clock_ns();
+  return t0;
+}
+[[maybe_unused]] const std::uint64_t g_epoch_pinned = epoch_ns();
+
 // Each thread holds a shared_ptr so the registry's copy keeps the tree (and
 // its accumulated totals) alive after the thread exits — snapshots taken
 // after pool shutdown still see worker phases.
@@ -48,29 +46,48 @@ PhaseNode* phase_enter(const char* name) {
       return child.get();
     }
   }
-  PhaseNode* node;
+  auto fresh = std::make_unique<PhaseNode>();
+  fresh->name = name;
+  fresh->path = cur == &tree.root ? name : cur->path + '/' + name;
+  fresh->parent = cur;
+  PhaseNode* node = fresh.get();
   {
     MutexLock lock(tree.mu);
-    auto fresh = std::make_unique<PhaseNode>();
-    fresh->name = name;
-    fresh->parent = cur;
-    node = fresh.get();
     cur->children.push_back(std::move(fresh));
   }
   tree.current = node;
   return node;
 }
 
-void phase_exit(PhaseNode* node, std::uint64_t dur_ns) {
-  node->count.fetch_add(1, std::memory_order_relaxed);
-  node->total_ns.fetch_add(dur_ns, std::memory_order_relaxed);
+// Runs with no lock held: the trace and histogram sinks take their own leaf
+// locks (TraceRecorder::mu_, and Registry::mu_ on a node's first lookup).
+void phase_exit(PhaseNode* node, unsigned sinks, std::uint64_t start_ns,
+                std::uint64_t end_ns) {
+  const std::uint64_t dur_ns = end_ns - start_ns;
+  if (sinks & kPhaseSink) {
+    node->count.fetch_add(1, std::memory_order_relaxed);
+    node->total_ns.fetch_add(dur_ns, std::memory_order_relaxed);
+  }
+  if (sinks & kTraceSink) {
+    TraceRecorder::instance().record_complete(
+        node->path, static_cast<double>(start_ns - epoch_ns()) * 1e-3,
+        static_cast<double>(dur_ns) * 1e-3);
+  }
+  if (sinks & kMetricsSink) {
+    if (!node->histogram) {
+      // Microsecond log buckets, 1 us .. 1000 s, 6 per decade.
+      node->histogram = &Registry::instance().histogram(
+          "span." + node->path, {1.0, 1e9, 54, /*log_scale=*/true});
+    }
+    node->histogram->observe(static_cast<double>(dur_ns) * 1e-3);
+  }
   local_tree().current = node->parent;
 }
 
 }  // namespace detail
 
-void set_phases_enabled(bool on) {
-  detail::g_phases_enabled.store(on, std::memory_order_relaxed);
+double now_us() {
+  return static_cast<double>(detail::clock_ns() - detail::epoch_ns()) * 1e-3;
 }
 
 PhaseRegistry& PhaseRegistry::instance() {

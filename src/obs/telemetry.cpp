@@ -1,7 +1,7 @@
 #include "obs/telemetry.h"
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/phase.h"
 
 namespace hero::obs {
 

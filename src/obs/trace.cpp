@@ -1,23 +1,8 @@
 #include "obs/trace.h"
 
-#include <chrono>
 #include <fstream>
 
 namespace hero::obs {
-
-namespace detail {
-std::atomic<bool> g_trace_enabled{false};
-}
-
-void set_trace_enabled(bool on) {
-  detail::g_trace_enabled.store(on, std::memory_order_relaxed);
-}
-
-double now_us() {
-  using Clock = std::chrono::steady_clock;
-  static const Clock::time_point t0 = Clock::now();
-  return std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
-}
 
 std::uint32_t current_tid() {
   static std::atomic<std::uint32_t> next{1};
@@ -30,7 +15,8 @@ TraceRecorder& TraceRecorder::instance() {
   return r;
 }
 
-void TraceRecorder::record_complete(const char* name, double ts_us, double dur_us) {
+void TraceRecorder::record_complete(const std::string& name, double ts_us,
+                                    double dur_us) {
   const std::uint32_t tid = current_tid();
   MutexLock lock(mu_);
   if (events_.size() >= cap_) {
@@ -83,15 +69,6 @@ bool TraceRecorder::write_chrome_trace(const std::string& path) const {
   }
   f << "]}\n";
   return static_cast<bool>(f);
-}
-
-Histogram& span_histogram(const char* name) {
-  HistogramOptions opt;
-  opt.lo = 1.0;       // 1 us
-  opt.hi = 1e9;       // 1000 s
-  opt.buckets = 54;   // 6 buckets per decade
-  opt.log_scale = true;
-  return Registry::instance().histogram(std::string("span.") + name, opt);
 }
 
 }  // namespace hero::obs

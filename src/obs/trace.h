@@ -1,20 +1,11 @@
-// Hierarchical trace spans: RAII scoped timers that record a wall-clock
-// tree and export Chrome trace_event JSON (loadable in chrome://tracing or
-// https://ui.perfetto.dev).
+// Chrome trace sink of the OBS_PHASE scopes (obs/phase.h): with --trace-out,
+// every scope exit records one Chrome "complete" ('X') event named by the
+// scope's nesting path ("stage2/learn/update/critic"), on a per-thread track,
+// and the file loads in chrome://tracing or https://ui.perfetto.dev.
 //
-//   OBS_SPAN("stage2/update/critic");
-//
-// opens a span for the rest of the enclosing scope. Spans nest naturally:
-// the exported events are Chrome "complete" ('X') events on a per-thread
-// track, which the viewers nest by time containment. Span names use '/'
-// separated levels (docs/OBSERVABILITY.md has the naming convention).
-//
-// Each span also feeds a latency histogram "span.<name>" (microseconds) in
-// the metrics registry when metrics are enabled, so one instrumentation
-// point yields both a trace and p50/p95/p99 latency.
-//
-// When both tracing and metrics are disabled, constructing a span is two
-// relaxed atomic-bool loads — no clock read, no allocation, no lock.
+// The recorder keeps at most 2^20 events; later ones are dropped and
+// counted (dropped(), exported as the obs.trace.dropped gauge), so a long
+// traced run holds its first million scope exits.
 #pragma once
 
 #include <cstdint>
@@ -26,25 +17,15 @@
 
 namespace hero::obs {
 
-namespace detail {
-extern std::atomic<bool> g_trace_enabled;
-}
-
-inline bool trace_enabled() {
-  return detail::g_trace_enabled.load(std::memory_order_relaxed);
-}
-void set_trace_enabled(bool on);
-
-// Microseconds on the monotonic clock since the first call in this process.
-double now_us();
+inline void set_trace_enabled(bool on) { detail::set_sink(detail::kTraceSink, on); }
 
 // Small dense per-thread id (1, 2, ...) for the trace's tid column.
 std::uint32_t current_tid();
 
 struct TraceEvent {
   std::string name;
-  double ts_us = 0.0;   // span start
-  double dur_us = 0.0;  // span duration
+  double ts_us = 0.0;   // scope start, obs::now_us() units
+  double dur_us = 0.0;  // scope duration
   std::uint32_t tid = 0;
 };
 
@@ -52,7 +33,7 @@ class TraceRecorder {
  public:
   static TraceRecorder& instance();
 
-  void record_complete(const char* name, double ts_us, double dur_us)
+  void record_complete(const std::string& name, double ts_us, double dur_us)
       HERO_EXCLUDES(mu_);
 
   // Chrome trace_event "JSON object format": {"traceEvents": [...]}.
@@ -74,35 +55,4 @@ class TraceRecorder {
   std::uint64_t dropped_ HERO_GUARDED_BY(mu_) = 0;
 };
 
-// Histogram "span.<name>" with microsecond log buckets (1us .. 1000s).
-Histogram& span_histogram(const char* name);
-
-class ScopedSpan {
- public:
-  explicit ScopedSpan(const char* name)
-      : name_(name), active_(trace_enabled() || metrics_enabled()) {
-    if (active_) start_us_ = now_us();
-  }
-  ~ScopedSpan() {
-    if (!active_) return;
-    const double dur = now_us() - start_us_;
-    if (trace_enabled()) {
-      TraceRecorder::instance().record_complete(name_, start_us_, dur);
-    }
-    if (metrics_enabled()) span_histogram(name_).observe(dur);
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  const char* name_;
-  double start_us_ = 0.0;
-  bool active_;
-};
-
 }  // namespace hero::obs
-
-#define HERO_OBS_CONCAT2(a, b) a##b
-#define HERO_OBS_CONCAT(a, b) HERO_OBS_CONCAT2(a, b)
-#define OBS_SPAN(name) \
-  ::hero::obs::ScopedSpan HERO_OBS_CONCAT(hero_obs_span_, __COUNTER__)(name)

@@ -11,7 +11,6 @@ namespace hero::rl {
 
 EpisodeStats run_episode(sim::LaneWorld& world, Controller& controller, Rng& rng,
                          bool explore, int merger_index, int merger_target_lane) {
-  OBS_SPAN("eval/episode");
   OBS_PHASE("eval_episode");
   world.reset(rng);
   controller.begin_episode(world);
@@ -67,7 +66,7 @@ EvalSummary evaluate_batch(const sim::LaneWorldConfig& world_cfg,
                            Controller& controller, std::uint64_t root_seed,
                            int episodes, int batch, int merger_index,
                            int merger_target_lane) {
-  OBS_SPAN("eval/batch");
+  OBS_PHASE("eval_batch");
   EvalSummary summary;
   summary.episodes = episodes;
   if (episodes <= 0) return summary;

@@ -13,7 +13,7 @@
 #include <system_error>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/phase.h"
 
 namespace hero::serve {
 

@@ -1,8 +1,6 @@
 #include "sim/scenario.h"
 
-#include <cmath>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -135,13 +133,9 @@ double require_positive(const std::string& path, const char* key, double v) {
   return v;
 }
 
-// JSON numbers are doubles; an int field must hold a finite whole number in
-// int range. Anything else is rejected rather than cast: a fractional value
-// would be silently truncated, an out-of-range one is undefined behaviour.
+// An int field must pass obs::is_int; anything else is rejected, not cast.
 int require_int(const std::string& path, const char* key, double v) {
-  if (!(std::isfinite(v) && v == std::trunc(v) &&
-        v >= static_cast<double>(std::numeric_limits<int>::min()) &&
-        v <= static_cast<double>(std::numeric_limits<int>::max()))) {
+  if (!obs::is_int(v)) {
     std::ostringstream os;
     os << key << " must be an integer, got " << v;
     scenario_error(path, os.str());

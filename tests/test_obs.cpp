@@ -1,6 +1,6 @@
 // Unit tests for the observability layer (src/obs): metrics registry
-// semantics, histogram percentiles, trace span nesting and export, and the
-// JSONL telemetry stream.
+// semantics, histogram percentiles, OBS_PHASE scopes feeding the trace and
+// the span.<path> histograms, and the JSONL telemetry stream.
 //
 // The obs subsystems are process-global and default-disabled; each test
 // that enables one restores the disabled state on exit so the suites stay
@@ -16,26 +16,39 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/phase.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 
 namespace hero::obs {
 namespace {
 
-// Enables metrics and/or tracing for one test body; restores the
-// all-disabled default (and clears recorded state) on destruction.
+// Enables metrics, tracing and/or the phase tree for one test body;
+// restores the all-disabled default (and clears recorded state) on
+// destruction.
 struct ObsGuard {
-  explicit ObsGuard(bool metrics, bool trace = false) {
+  explicit ObsGuard(bool metrics, bool trace = false, bool phases = false) {
     set_metrics_enabled(metrics);
     set_trace_enabled(trace);
+    set_phases_enabled(phases);
   }
   ~ObsGuard() {
     set_metrics_enabled(false);
     set_trace_enabled(false);
+    set_phases_enabled(false);
     Registry::instance().reset_values();
     TraceRecorder::instance().clear();
+    PhaseRegistry::instance().reset();
   }
 };
+
+const PhaseStat* find_stat(const std::vector<PhaseStat>& stats,
+                           const std::string& name) {
+  for (const auto& s : stats) {
+    if (s.name == name) return &s;
+  }
+  return nullptr;
+}
 
 std::string temp_path(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
@@ -250,7 +263,7 @@ TEST(Metrics, ResetValuesKeepsRegistrations) {
 TEST(Spans, DisabledSpanRecordsNothing) {
   ObsGuard guard(/*metrics=*/false, /*trace=*/false);
   const std::size_t before = TraceRecorder::instance().size();
-  { OBS_SPAN("test/disabled"); }
+  { OBS_PHASE("disabled"); }
   EXPECT_EQ(TraceRecorder::instance().size(), before);
 }
 
@@ -258,9 +271,9 @@ TEST(Spans, NestedSpansAreContained) {
   ObsGuard guard(/*metrics=*/false, /*trace=*/true);
   TraceRecorder::instance().clear();
   {
-    OBS_SPAN("test/outer");
+    OBS_PHASE("outer");
     {
-      OBS_SPAN("test/inner");
+      OBS_PHASE("inner");
     }
   }
   const auto events = TraceRecorder::instance().snapshot();
@@ -268,8 +281,9 @@ TEST(Spans, NestedSpansAreContained) {
   // Destruction order: inner closes (and records) first.
   const TraceEvent& inner = events[0];
   const TraceEvent& outer = events[1];
-  EXPECT_EQ(inner.name, "test/inner");
-  EXPECT_EQ(outer.name, "test/outer");
+  // Events carry the scope's nesting path.
+  EXPECT_EQ(inner.name, "outer/inner");
+  EXPECT_EQ(outer.name, "outer");
   EXPECT_GE(inner.ts_us, outer.ts_us);
   EXPECT_LE(inner.ts_us + inner.dur_us, outer.ts_us + outer.dur_us + 1e-6);
   EXPECT_EQ(inner.tid, outer.tid);
@@ -277,25 +291,25 @@ TEST(Spans, NestedSpansAreContained) {
 
 TEST(Spans, FeedLatencyHistogramWhenMetricsEnabled) {
   ObsGuard guard(/*metrics=*/true, /*trace=*/false);
-  { OBS_SPAN("test/latency"); }
-  { OBS_SPAN("test/latency"); }
-  EXPECT_EQ(Registry::instance().histogram("span.test/latency").count(), 2u);
+  { OBS_PHASE("latency"); }
+  { OBS_PHASE("latency"); }
+  EXPECT_EQ(Registry::instance().histogram("span.latency").count(), 2u);
 }
 
 TEST(Spans, ChromeTraceExportIsWellFormed) {
   ObsGuard guard(/*metrics=*/false, /*trace=*/true);
   TraceRecorder::instance().clear();
   {
-    OBS_SPAN("test/export/parent");
-    OBS_SPAN("test/export/child");
+    OBS_PHASE("export_parent");
+    OBS_PHASE("export_child");
   }
   const std::string path = temp_path("hero_obs_trace_test.json");
   ASSERT_TRUE(TraceRecorder::instance().write_chrome_trace(path));
   const std::string body = slurp(path);
   EXPECT_NE(body.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(body.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(body.find("test/export/parent"), std::string::npos);
-  EXPECT_NE(body.find("test/export/child"), std::string::npos);
+  EXPECT_NE(body.find("\"export_parent\""), std::string::npos);
+  EXPECT_NE(body.find("\"export_parent/export_child\""), std::string::npos);
   EXPECT_NE(body.find("\"pid\""), std::string::npos);
   EXPECT_NE(body.find("\"tid\""), std::string::npos);
   EXPECT_EQ(body.front(), '{');
@@ -308,11 +322,59 @@ TEST(Spans, CapacityDropsAreCounted) {
   TraceRecorder::instance().clear();
   TraceRecorder::instance().set_capacity(3);
   for (int i = 0; i < 5; ++i) {
-    OBS_SPAN("test/capped");
+    OBS_PHASE("capped");
   }
   EXPECT_EQ(TraceRecorder::instance().size(), 3u);
   EXPECT_EQ(TraceRecorder::instance().dropped(), 2u);
   TraceRecorder::instance().set_capacity(1u << 20);
+}
+
+TEST(Spans, OneScopeFeedsEverySink) {
+  ObsGuard guard(/*metrics=*/true, /*trace=*/true, /*phases=*/true);
+  {
+    OBS_PHASE("outer");
+    {
+      OBS_PHASE("inner");
+    }
+  }
+  auto stats = PhaseRegistry::instance().snapshot();
+  const PhaseStat* outer = find_stat(stats, "outer");
+  ASSERT_NE(outer, nullptr);
+  const PhaseStat* inner = find_stat(outer->children, "inner");
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(outer->count, 1u);
+  EXPECT_EQ(inner->count, 1u);
+  auto events = TraceRecorder::instance().snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].name, "outer/inner");
+  EXPECT_EQ(events[1].name, "outer");
+  EXPECT_EQ(Registry::instance().histogram("span.outer/inner").count(), 1u);
+  EXPECT_EQ(Registry::instance().histogram("span.outer").count(), 1u);
+
+  // Trace alone: the events still come, the phase counters stay at zero.
+  set_metrics_enabled(false);
+  set_phases_enabled(false);
+  TraceRecorder::instance().clear();
+  PhaseRegistry::instance().reset();
+  Registry::instance().reset_values();
+  {
+    OBS_PHASE("outer");
+    {
+      OBS_PHASE("inner");
+    }
+  }
+  events = TraceRecorder::instance().snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].name, "outer/inner");
+  stats = PhaseRegistry::instance().snapshot();
+  outer = find_stat(stats, "outer");
+  ASSERT_NE(outer, nullptr);
+  inner = find_stat(outer->children, "inner");
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(outer->count, 0u);
+  EXPECT_EQ(inner->count, 0u);
+  EXPECT_EQ(outer->total_us, 0.0);
+  EXPECT_EQ(Registry::instance().histogram("span.outer/inner").count(), 0u);
 }
 
 // ----------------------------------------------------------- Telemetry ----

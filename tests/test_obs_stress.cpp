@@ -1,6 +1,7 @@
 // Multi-threaded stress tests over the observability layer — the
 // -fsanitize=thread CI job drives these to surface data races in the
-// metrics registry, trace spans and telemetry stream (docs/CORRECTNESS.md).
+// metrics registry, OBS_PHASE scopes and telemetry stream
+// (docs/CORRECTNESS.md).
 // They are also ordinary correctness tests: all counts must balance after
 // the threads join.
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/phase.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 
@@ -108,9 +110,9 @@ TEST_F(ObsStressTest, ConcurrentSpansAndTraceExport) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([] {
       for (int i = 0; i < kItersPerThread / 10; ++i) {
-        OBS_SPAN("stress/outer");
+        OBS_PHASE("outer");
         {
-          OBS_SPAN("stress/inner");
+          OBS_PHASE("inner");
         }
       }
     });

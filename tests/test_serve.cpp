@@ -5,8 +5,13 @@
 // evaluation, and hot reload neither drops nor perturbs in-flight sessions.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <future>
+#include <iterator>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -318,6 +323,76 @@ TEST(CheckpointManifest, GeometryRejectsMalformedShape) {
   EXPECT_THROW(core::apply_manifest_geometry(m, &cfg), std::runtime_error);
   m.shapes["agent0_actor"] = "34";
   EXPECT_THROW(core::apply_manifest_geometry(m, &cfg), std::runtime_error);
+}
+
+// What read_manifest makes of `text` as dir/checkpoint.json: the
+// runtime_error message, or a note saying it returned, threw another type,
+// or did not finish. The read runs on its own thread with a few seconds'
+// wait, so a parser that spins fails the test instead of hanging the suite;
+// a read still running is abandoned (leaked — a std::async future's
+// destructor would wait for it).
+std::string manifest_error_for(const std::string& dir, const std::string& text) {
+  std::ofstream(dir + "/checkpoint.json") << text;
+  auto read = std::make_unique<std::future<std::string>>(
+      std::async(std::launch::async, [dir]() -> std::string {
+        try {
+          core::CheckpointManifest m;
+          core::read_manifest(dir, &m);
+          return "returned without an error";
+        } catch (const std::runtime_error& e) {
+          return e.what();
+        } catch (const std::exception& e) {
+          return std::string("threw a non-runtime_error: ") + e.what();
+        }
+      }));
+  if (read->wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+    (void)read.release();
+    return "did not finish within 5 s";
+  }
+  return read->get();
+}
+
+TEST(CheckpointManifest, RejectsMalformedManifest) {
+  const std::string dir = make_checkpoint("ckpt_malformed", core::HeroConfig{});
+  std::ifstream in(dir + "/checkpoint.json");
+  const std::string good((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const std::string learners = "\"learners\": 3,";
+  const std::string shapes = "\"shapes\": {";
+  ASSERT_NE(good.find(learners), std::string::npos) << good;
+  ASSERT_NE(good.find(shapes), std::string::npos) << good;
+  const auto with_learners = [&](const std::string& value) {
+    std::string text = good;
+    return text.replace(text.find(learners), learners.size(),
+                        "\"learners\": " + value + ",");
+  };
+
+  struct Case {
+    const char* what;
+    std::string text;
+    const char* field;  // the field the error must name
+  };
+  const std::vector<Case> cases = {
+      {"truncated shapes object", good.substr(0, good.find(shapes)) + shapes + "\"abc}",
+       "shapes"},
+      {"integer past int range", with_learners("4294967299"), "learners"},
+      {"fractional integer", with_learners("2.5"), "learners"},
+      {"sign without digits", with_learners("-"), "learners"},
+      {"integer past long long range", with_learners("99999999999999999999"),
+       "learners"},
+      {"missing field",
+       std::string(good).erase(good.find(learners), learners.size()), "learners"},
+      {"non-string shape",
+       std::string(good).insert(good.find(shapes) + shapes.size(), "\"bogus\": 5, "),
+       "shapes"},
+  };
+  for (const Case& c : cases) {
+    const std::string msg = manifest_error_for(dir, c.text);
+    EXPECT_NE(msg.find("checkpoint.json"), std::string::npos) << c.what << ": " << msg;
+    EXPECT_NE(msg.find(c.field), std::string::npos) << c.what << ": " << msg;
+  }
+  // The untouched manifest still reads.
+  EXPECT_EQ(manifest_error_for(dir, good), "returned without an error");
 }
 
 // ----------------------------------------------- serving equivalence ----
