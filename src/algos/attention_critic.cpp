@@ -174,8 +174,8 @@ void AttentionCritic::backward(const Pass& p, const nn::Matrix& dq) {
   relu_v_.backward_into(p.vpre, p.vvec, dv_, dvpre_);
   wv_.backward_into(p.u, p.vpre, dvpre_, dtmp_);
   du_ += dtmp_;
-  sa_enc_.backward(du_);
-  state_enc_.backward(de_);
+  sa_enc_.backward_params(du_);
+  state_enc_.backward_params(de_);
 }
 
 const std::vector<nn::ParamRef>& AttentionCritic::params() {

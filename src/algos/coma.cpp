@@ -127,7 +127,7 @@ void ComaTrainer::update_from_episode(const std::vector<StepRecord>& episode,
     const nn::Matrix& qs = critic_.forward(critic_in_m_);
     nn::mse_loss_selected_into(qs, taken_, returns_, closs_grad_);
     critic_.zero_grad();
-    critic_.backward(closs_grad_);
+    critic_.backward_params(closs_grad_);
     critic_.clip_grad_norm(cfg_.grad_clip);
     critic_opt_->step();
 
@@ -167,7 +167,7 @@ void ComaTrainer::update_from_episode(const std::vector<StepRecord>& episode,
       }
     });
     actor.net().zero_grad();
-    actor.net().backward(dlogits_);
+    actor.net().backward_params(dlogits_);
     actor.net().clip_grad_norm(cfg_.grad_clip);
     actor_opt_[static_cast<std::size_t>(i)]->step();
   }

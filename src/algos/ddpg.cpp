@@ -68,7 +68,7 @@ DdpgUpdateStats DdpgAgent::update(Rng& rng) {
   auto loss = nn::mse_loss(pred, target);
   stats.critic_loss = loss.loss;
   q_.zero_grad();
-  q_.backward(loss.grad);
+  q_.backward_params(loss.grad);
   q_.clip_grad_norm(cfg_.grad_clip);
   q_opt_->step();
 

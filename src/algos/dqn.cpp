@@ -135,7 +135,7 @@ double IndependentDqnTrainer::update_math(int agent,
     }
   }
   net.zero_grad();
-  net.backward(s.loss_grad);
+  net.backward_params(s.loss_grad);
   net.clip_grad_norm(cfg_.grad_clip);
   opt_[ai]->step();
   q_target_[ai].soft_update_from(net, cfg_.tau);

@@ -240,7 +240,7 @@ void MaacTrainer::update(Rng& rng) {
         dlogits_(b, a) = -probs_(b, a) * (f - mean_f) * inv;  // minimize −J
       }
     });
-    actor_.net().backward(dlogits_);
+    actor_.net().backward_params(dlogits_);
   }
   actor_.net().clip_grad_norm(cfg_.grad_clip);
   actor_opt_->step();

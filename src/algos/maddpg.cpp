@@ -166,7 +166,7 @@ void MaddpgTrainer::update_agent(int i, const std::vector<const Transition*>& ba
   const nn::Matrix& pred = critic.forward(cur_in_);
   nn::mse_loss_into(pred, s.target, s.q_grad);
   critic.zero_grad();
-  critic.backward(s.q_grad);
+  critic.backward_params(s.q_grad);
   critic.clip_grad_norm(cfg_.grad_clip);
   critic_opt_[ii]->step();
 

@@ -86,7 +86,7 @@ SacUpdateStats SacAgent::update(Rng& rng) {
     const nn::Matrix& pred = q->forward(critic_in_);
     stats.critic_loss += 0.5 * nn::mse_loss_into(pred, target_, q_grad_);
     q->zero_grad();
-    q->backward(q_grad_);
+    q->backward_params(q_grad_);
     q->clip_grad_norm(cfg_.grad_clip);
     opt->step();
   }

@@ -157,7 +157,7 @@ HighLevelUpdateStats HighLevelAgent::update(OpponentModel& opponents, Rng& rng) 
   HERO_DCHECK_FINITE(target_m_, "HighLevelAgent::update critic TD target");
   stats.critic_loss = nn::mse_loss_into(pred, target_m_, closs_grad_);
   critic_.zero_grad();
-  critic_.backward(closs_grad_);
+  critic_.backward_params(closs_grad_);
   stats.critic_grad_norm = critic_.clip_grad_norm(cfg_.grad_clip);
   critic_opt_->step();
   }
@@ -218,7 +218,7 @@ HighLevelUpdateStats HighLevelAgent::update(OpponentModel& opponents, Rng& rng) 
     stats.actor_entropy = mean_entropy;
     HERO_DCHECK_FINITE(dlogits_, "HighLevelAgent::update actor logit gradient");
     actor_.net().zero_grad();
-    actor_.net().backward(dlogits_);
+    actor_.net().backward_params(dlogits_);
     stats.actor_grad_norm = actor_.net().clip_grad_norm(cfg_.grad_clip);
     actor_opt_->step();
   }

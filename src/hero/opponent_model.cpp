@@ -133,7 +133,7 @@ double OpponentModel::update(int j, Rng& rng) {
   const double loss = ce_loss - cfg_.entropy_lambda * mean_entropy;
 
   net.zero_grad();
-  net.backward(ce_grad_);
+  net.backward_params(ce_grad_);
   net.clip_grad_norm(10.0);
   opts_[static_cast<std::size_t>(j)]->step();
   losses_[static_cast<std::size_t>(j)].push_back(loss);

@@ -56,6 +56,12 @@ class Layer {
     backward_into(x, y, grad_out, grad_in);
   }
 
+  // Like backward_into, but writes no dL/d(input): accumulates the
+  // parameter gradients only — for a network's first layer when the caller
+  // discards the input gradient. Parameterless layers have nothing to do.
+  virtual void backward_params_into(const Matrix& /*x*/, const Matrix& /*y*/,
+                                    const Matrix& /*grad_out*/) {}
+
   // Trainable parameters (empty for activations).
   virtual std::vector<ParamRef> params() { return {}; }
   // Const overload — lets const code (e.g. Mlp::num_params) walk the

@@ -23,6 +23,13 @@ void Linear::forward_into(const Matrix& x, Matrix& y) {
 
 void Linear::backward_into(const Matrix& x, const Matrix& y, const Matrix& grad_out,
                            Matrix& grad_in) {
+  backward_params_into(x, y, grad_out);
+  // dx = dy · Wᵀ, transpose-free.
+  grad_out.matmul_transB_into(w_, grad_in);
+}
+
+void Linear::backward_params_into(const Matrix& x, const Matrix& y,
+                                  const Matrix& grad_out) {
   (void)y;
   HERO_CHECK(grad_out.rows() == x.rows() && grad_out.cols() == out_);
   // dW += xᵀ · dy, transpose-free.
@@ -33,8 +40,6 @@ void Linear::backward_into(const Matrix& x, const Matrix& y, const Matrix& grad_
     const double* grow = grad_out.row_ptr(i);
     for (std::size_t j = 0; j < out_; ++j) gb[j] += grow[j];
   }
-  // dx = dy · Wᵀ, transpose-free.
-  grad_out.matmul_transB_into(w_, grad_in);
 }
 
 void Linear::backward_input_into(const Matrix& x, const Matrix& y,

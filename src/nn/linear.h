@@ -19,6 +19,8 @@ class Linear final : public Layer {
                      Matrix& grad_in) override;
   void backward_input_into(const Matrix& x, const Matrix& y,
                            const Matrix& grad_out, Matrix& grad_in) override;
+  void backward_params_into(const Matrix& x, const Matrix& y,
+                            const Matrix& grad_out) override;
   std::vector<ParamRef> params() override;
   std::vector<ConstParamRef> params() const override;
   std::unique_ptr<Layer> clone() const override;

@@ -1,6 +1,12 @@
 #include "nn/matrix.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
+#include <utility>
+
+#include "nn/kernels.h"
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
@@ -9,14 +15,13 @@
 namespace hero::nn {
 namespace {
 
-// Runtime ISA dispatch for the dense kernels: each loop body is an
-// always_inline helper instantiated twice — a baseline x86-64 version and an
-// AVX2+FMA version — and a function pointer picked once at static-init by
-// __builtin_cpu_supports. Release binaries stay portable without giving up
-// the wide units when they exist. (Feature-based dispatch, not
-// target_clones("arch=..."): arch clones match the CPU *model*, which
-// virtualized CPUs with a generic model string fail even when they expose
-// every needed feature bit.)
+// Runtime ISA dispatch for the dense kernels (nn/kernels.h): a baseline
+// x86-64 set built from the always_inline loop bodies below, an AVX2+FMA set
+// and an AVX-512 set, one picked once at start-up by __builtin_cpu_supports.
+// Release binaries stay portable without giving up the wide units when they
+// exist. (Feature-based dispatch, not target_clones("arch=..."): arch clones
+// match the CPU *model*, which virtualized CPUs with a generic model string
+// fail even when they expose every needed feature bit.)
 #if defined(__x86_64__) && defined(__GNUC__)
 #define HERO_KERNEL_DISPATCH 1
 #define HERO_KERNEL_INLINE __attribute__((always_inline)) inline
@@ -203,13 +208,6 @@ void mm_affine_body(const double* a, std::size_t m, std::size_t k, const double*
   }
 }
 
-using MmAccumFn = void (*)(const double*, std::size_t, std::size_t, const double*,
-                           std::size_t, double*);
-using MmTransBFn = void (*)(const double*, std::size_t, std::size_t, const double*,
-                            std::size_t, double*, bool);
-using MmAffineFn = void (*)(const double*, std::size_t, std::size_t, const double*,
-                            std::size_t, const double*, double*);
-
 void mm_accum_base(const double* a, std::size_t m, std::size_t k, const double* b,
                    std::size_t n, double* o) {
   mm_accum_body(a, m, k, b, n, o);
@@ -233,15 +231,22 @@ HERO_TARGET_AVX2 void mm_accum_avx2(const double* a, std::size_t m, std::size_t 
                                     const double* b, std::size_t n, double* o) {
   mm_accum_body(a, m, k, b, n, o);
 }
-HERO_TARGET_AVX2 void mm_transA_accum_avx2(const double* a, std::size_t m,
-                                           std::size_t k, const double* b,
-                                           std::size_t n, double* o) {
-  mm_transA_accum_body(a, m, k, b, n, o);
+// A product that rounds on its own. The empty asm hides it from FP
+// contraction, which would otherwise fuse it into the add it feeds.
+template <class T>
+HERO_TARGET_AVX2 inline T rounded_mul(T a, T b) {
+  T p = a * b;
+  asm("" : "+x"(p));
+  return p;
 }
+
 // The row-dot-row contraction is the one kernel auto-vectorization cannot
 // touch: its inner loop is a reduction, and reassociating it is off-limits
 // without -ffast-math. Hand-vectorized here — four dot products with 256-bit
-// accumulators, folded by a 4-vector horizontal sum.
+// accumulators, folded by a 4-vector horizontal sum. The k mod 4 leftover
+// steps add in order: a leading pair multiplies and adds unfused, an odd last
+// one fuses (the sequence GCC's vectorizer once gave this loop, now written
+// out so no build can change it).
 HERO_TARGET_AVX2 void mm_transB_avx2(const double* a, std::size_t m, std::size_t k,
                                      const double* b, std::size_t n, double* o,
                                      bool accumulate) {
@@ -272,17 +277,15 @@ HERO_TARGET_AVX2 void mm_transB_avx2(const double* a, std::size_t m, std::size_t
       const __m256d swap = _mm256_permute2f128_pd(h01, h23, 0x21);
       const __m256d blnd = _mm256_blend_pd(h01, h23, 0b1100);
       __m256d sums = _mm256_add_pd(swap, blnd);  // [s0, s1, s2, s3]
-      if (c < k) {
-        double tail[4];
-        _mm256_storeu_pd(tail, sums);
-        for (; c < k; ++c) {
-          const double x = arow[c];
-          tail[0] += x * b0[c];
-          tail[1] += x * b1[c];
-          tail[2] += x * b2[c];
-          tail[3] += x * b3[c];
+      for (; c + 2 <= k; c += 2) {
+        for (std::size_t q = c; q < c + 2; ++q) {
+          const __m256d bq = _mm256_setr_pd(b0[q], b1[q], b2[q], b3[q]);
+          sums = _mm256_add_pd(sums, rounded_mul(_mm256_set1_pd(arow[q]), bq));
         }
-        sums = _mm256_loadu_pd(tail);
+      }
+      if (c < k) {
+        const __m256d bc = _mm256_setr_pd(b0[c], b1[c], b2[c], b3[c]);
+        sums = _mm256_fmadd_pd(_mm256_set1_pd(arow[c]), bc, sums);
       }
       if (accumulate) sums = _mm256_add_pd(sums, _mm256_loadu_pd(orow + j));
       _mm256_storeu_pd(orow + j, sums);
@@ -298,7 +301,11 @@ HERO_TARGET_AVX2 void mm_transB_avx2(const double* a, std::size_t m, std::size_t
       const __m128d hi = _mm256_extractf128_pd(acc, 1);
       const __m128d pair = _mm_add_pd(lo, hi);
       double s = _mm_cvtsd_f64(_mm_hadd_pd(pair, pair));
-      for (; c < k; ++c) s += arow[c] * brow[c];
+      for (; c + 2 <= k; c += 2) {
+        s = s + rounded_mul(arow[c], brow[c]);
+        s = s + rounded_mul(arow[c + 1], brow[c + 1]);
+      }
+      if (c < k) s = __builtin_fma(arow[c], brow[c], s);
       if (accumulate) {
         orow[j] += s;
       } else {
@@ -307,82 +314,120 @@ HERO_TARGET_AVX2 void mm_transB_avx2(const double* a, std::size_t m, std::size_t
     }
   }
 }
-// Hand-vectorized: the auto-vectorizer cannot prove `o` never aliases `w`,
-// so the shared body compiles to scalar FP even under the avx2 target. The
-// inner loop is elementwise over j (no reduction), and every row runs the
-// exact same instruction sequence, so results remain bitwise independent of
-// the batch size and a row's position within it.
-HERO_TARGET_AVX2 void mm_affine_avx2(const double* a, std::size_t m, std::size_t k,
-                                     const double* w, std::size_t n,
-                                     const double* bias, double* o) {
-  for (std::size_t i = 0; i < m; ++i) {
-    double* orow = o + i * n;
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) _mm256_storeu_pd(orow + j, _mm256_loadu_pd(bias + j));
-    for (; j < n; ++j) orow[j] = bias[j];
-  }
-  std::size_t c = 0;
-  for (; c + 4 <= k; c += 4) {
-    const double* w0 = w + c * n;
-    const double* w1 = w0 + n;
-    const double* w2 = w1 + n;
-    const double* w3 = w2 + n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const double* arow = a + i * k;
-      double* orow = o + i * n;
-      const __m256d a0 = _mm256_set1_pd(arow[c]);
-      const __m256d a1 = _mm256_set1_pd(arow[c + 1]);
-      const __m256d a2 = _mm256_set1_pd(arow[c + 2]);
-      const __m256d a3 = _mm256_set1_pd(arow[c + 3]);
-      std::size_t j = 0;
-      for (; j + 4 <= n; j += 4) {
-        const __m256d t01 = _mm256_fmadd_pd(a1, _mm256_loadu_pd(w1 + j),
-                                            _mm256_mul_pd(a0, _mm256_loadu_pd(w0 + j)));
-        const __m256d t23 = _mm256_fmadd_pd(a3, _mm256_loadu_pd(w3 + j),
-                                            _mm256_mul_pd(a2, _mm256_loadu_pd(w2 + j)));
-        const __m256d acc = _mm256_add_pd(_mm256_loadu_pd(orow + j),
-                                          _mm256_add_pd(t01, t23));
-        _mm256_storeu_pd(orow + j, acc);
-      }
-      for (; j < n; ++j) {
-        orow[j] += (arow[c] * w0[j] + arow[c + 1] * w1[j]) +
-                   (arow[c + 2] * w2[j] + arow[c + 3] * w3[j]);
-      }
-    }
-  }
-  for (; c < k; ++c) {
-    const double* wrow = w + c * n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const __m256d ac = _mm256_set1_pd(a[i * k + c]);
-      double* orow = o + i * n;
-      std::size_t j = 0;
-      for (; j + 4 <= n; j += 4) {
-        _mm256_storeu_pd(orow + j, _mm256_fmadd_pd(ac, _mm256_loadu_pd(wrow + j),
-                                                   _mm256_loadu_pd(orow + j)));
-      }
-      for (; j < n; ++j) orow[j] += a[i * k + c] * wrow[j];
-    }
-  }
-}
 #undef HERO_TARGET_AVX2
 
-bool cpu_has_avx2_fma() {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-}
-const bool kUseAvx2 = cpu_has_avx2_fma();
-const MmAccumFn mm_accum = kUseAvx2 ? mm_accum_avx2 : mm_accum_base;
-const MmAccumFn mm_transA_accum = kUseAvx2 ? mm_transA_accum_avx2 : mm_transA_accum_base;
-const MmTransBFn mm_transB = kUseAvx2 ? mm_transB_avx2 : mm_transB_base;
-const MmAffineFn mm_affine = kUseAvx2 ? mm_affine_avx2 : mm_affine_base;
-#else
-constexpr MmAccumFn mm_accum = mm_accum_base;
-constexpr MmAccumFn mm_transA_accum = mm_transA_accum_base;
-constexpr MmTransBFn mm_transB = mm_transB_base;
-constexpr MmAffineFn mm_affine = mm_affine_base;
+// The register tiles (register_tile.inc), once per instruction set. Every
+// function of a copy, V's included, carries HERO_TILE_TARGET, that set's
+// target attribute, so the AVX2 copy never touches AVX-512 registers and
+// runs on any AVX2+FMA CPU.
+#define HERO_TILE_TARGET __attribute__((target("avx2,fma")))
+namespace avx2 {
+struct V {
+  using reg = __m256d;
+  using mask = __m256i;
+  static constexpr std::size_t kLanes = 4;
+  static constexpr int kMaxVectors = 8;
+  // 16 ymm registers: accumulators plus four broadcasts and two partials.
+  static constexpr int kAccBudget = 8;
+  // Vector columns come in whole 4-lane vectors.
+  static constexpr bool kMaskLast = false;
+  HERO_TILE_TARGET static reg load(const double* p) { return _mm256_loadu_pd(p); }
+  HERO_TILE_TARGET static reg load(const double* p, mask m) {
+    return _mm256_maskload_pd(p, m);
+  }
+  HERO_TILE_TARGET static void store(double* p, reg v) { _mm256_storeu_pd(p, v); }
+  HERO_TILE_TARGET static void store(double* p, mask m, reg v) {
+    _mm256_maskstore_pd(p, m, v);
+  }
+  HERO_TILE_TARGET static reg bcast(double x) { return _mm256_set1_pd(x); }
+  HERO_TILE_TARGET static reg mul(reg a, reg b) { return _mm256_mul_pd(a, b); }
+  HERO_TILE_TARGET static reg add(reg a, reg b) { return _mm256_add_pd(a, b); }
+  HERO_TILE_TARGET static reg fma(reg a, reg b, reg c) {
+    return _mm256_fmadd_pd(a, b, c);
+  }
+  HERO_TILE_TARGET static mask first_lanes(std::size_t n) {
+    return _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(n)),
+                              _mm256_setr_epi64x(0, 1, 2, 3));
+  }
+};
+#include "nn/register_tile.inc"
+}  // namespace avx2
+#undef HERO_TILE_TARGET
+
+#define HERO_TILE_TARGET __attribute__((target("avx512f,avx2,fma")))
+namespace avx512 {
+struct V {
+  using reg = __m512d;
+  using mask = __mmask8;
+  static constexpr std::size_t kLanes = 8;
+  static constexpr int kMaxVectors = 4;
+  // 32 zmm registers: four rows of a 32-column chunk.
+  static constexpr int kAccBudget = 16;
+  // Vector columns come in 4s, so the last vector may be half full.
+  static constexpr bool kMaskLast = true;
+  HERO_TILE_TARGET static reg load(const double* p) { return _mm512_loadu_pd(p); }
+  HERO_TILE_TARGET static reg load(const double* p, mask m) {
+    return _mm512_maskz_loadu_pd(m, p);
+  }
+  HERO_TILE_TARGET static void store(double* p, reg v) { _mm512_storeu_pd(p, v); }
+  HERO_TILE_TARGET static void store(double* p, mask m, reg v) {
+    _mm512_mask_storeu_pd(p, m, v);
+  }
+  HERO_TILE_TARGET static reg bcast(double x) { return _mm512_set1_pd(x); }
+  HERO_TILE_TARGET static reg mul(reg a, reg b) { return _mm512_mul_pd(a, b); }
+  HERO_TILE_TARGET static reg add(reg a, reg b) { return _mm512_add_pd(a, b); }
+  HERO_TILE_TARGET static reg fma(reg a, reg b, reg c) {
+    return _mm512_fmadd_pd(a, b, c);
+  }
+  HERO_TILE_TARGET static mask first_lanes(std::size_t n) {
+    return static_cast<mask>((1u << n) - 1u);
+  }
+};
+#include "nn/register_tile.inc"
+}  // namespace avx512
+#undef HERO_TILE_TARGET
+
 #endif
 
 }  // namespace
+
+namespace kernels {
+
+std::span<const KernelSet> kernel_sets() {
+#if HERO_KERNEL_DISPATCH
+  __builtin_cpu_init();
+  const bool avx2 = __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  static const KernelSet sets[] = {
+      {"base", false, true, mm_accum_base, mm_transA_accum_base, mm_transB_base,
+       mm_affine_base},
+      {"avx2", true, avx2, mm_accum_avx2, avx2::transA_accum_tiled, mm_transB_avx2,
+       avx2::affine_tiled},
+      // AVX-512 widens the tiles; the other two kernels are the AVX2 ones.
+      {"avx512", true, avx2 && __builtin_cpu_supports("avx512f"), mm_accum_avx2,
+       avx512::transA_accum_tiled, mm_transB_avx2, avx512::affine_tiled},
+  };
+#else
+  static const KernelSet sets[] = {
+      {"base", false, true, mm_accum_base, mm_transA_accum_base, mm_transB_base,
+       mm_affine_base},
+  };
+#endif
+  return sets;
+}
+
+const KernelSet& active_kernels() {
+  static const KernelSet& active = [] () -> const KernelSet& {
+    const std::span<const KernelSet> sets = kernel_sets();
+    std::size_t best = 0;
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      if (sets[i].supported) best = i;
+    }
+    return sets[best];
+  }();
+  return active;
+}
+
+}  // namespace kernels
 
 Matrix Matrix::row(const std::vector<double>& v) {
   Matrix m(1, v.size());
@@ -435,7 +480,8 @@ void Matrix::matmul_into(const Matrix& other, Matrix& out, bool accumulate) cons
     out.resize(rows_, other.cols_);
     out.fill(0.0);
   }
-  mm_accum(data(), rows_, cols_, other.data(), other.cols_, out.data());
+  kernels::active_kernels().accum(data(), rows_, cols_, other.data(), other.cols_,
+                                  out.data());
 }
 
 void Matrix::matmul_transA_into(const Matrix& other, Matrix& out,
@@ -451,7 +497,8 @@ void Matrix::matmul_transA_into(const Matrix& other, Matrix& out,
     out.resize(cols_, other.cols_);
     out.fill(0.0);
   }
-  mm_transA_accum(data(), rows_, cols_, other.data(), other.cols_, out.data());
+  kernels::active_kernels().transA_accum(data(), rows_, cols_, other.data(), other.cols_,
+                                         out.data());
 }
 
 void Matrix::matmul_transB_into(const Matrix& other, Matrix& out,
@@ -466,7 +513,8 @@ void Matrix::matmul_transB_into(const Matrix& other, Matrix& out,
   } else {
     out.resize(rows_, other.rows_);
   }
-  mm_transB(data(), rows_, cols_, other.data(), other.rows_, out.data(), accumulate);
+  kernels::active_kernels().transB(data(), rows_, cols_, other.data(), other.rows_,
+                                   out.data(), accumulate);
 }
 
 void Matrix::affine_into(const Matrix& w, const Matrix& bias, Matrix& out) const {
@@ -476,7 +524,8 @@ void Matrix::affine_into(const Matrix& w, const Matrix& bias, Matrix& out) const
   HERO_CHECK_MSG(&out != this && &out != &w && &out != &bias,
                  "affine_into: out aliases an operand");
   out.resize(rows_, w.cols_);
-  mm_affine(data(), rows_, cols_, w.data(), w.cols_, bias.data(), out.data());
+  kernels::active_kernels().affine(data(), rows_, cols_, w.data(), w.cols_, bias.data(),
+                                   out.data());
 }
 
 Matrix Matrix::transpose() const {

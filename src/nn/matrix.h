@@ -1,6 +1,9 @@
 // Dense row-major matrix of doubles — the single tensor type of the NN
 // library. Shapes in this codebase are tiny (hidden width 32, batch ≤ 1024),
-// so clarity wins over BLAS: all kernels are straightforward loops.
+// so the library carries its own kernels instead of a BLAS: loop bodies for
+// baseline x86-64, register tiles for AVX2 and AVX-512 (nn/kernels.h). Each
+// fixes every output element's FP operation sequence, and the AVX2 and
+// AVX-512 builds share theirs (docs/PERFORMANCE.md §Fused kernels).
 //
 // Convention used throughout: activations are (batch, features); a Linear
 // layer stores its weight as (in, out) so that forward is `x * W + b`.

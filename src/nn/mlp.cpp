@@ -88,6 +88,17 @@ std::vector<double> Mlp::forward1(const std::vector<double>& x) {
 
 const Matrix& Mlp::backward(const Matrix& grad_out) {
   OBS_PHASE("nn_backward");
+  backward_layers(grad_out, /*input_grad=*/true);
+  HERO_DCHECK_FINITE(grads_.front(), "Mlp::backward grad_in");
+  return grads_.front();
+}
+
+void Mlp::backward_params(const Matrix& grad_out) {
+  OBS_PHASE("nn_backward");
+  backward_layers(grad_out, /*input_grad=*/false);
+}
+
+void Mlp::backward_layers(const Matrix& grad_out, bool input_grad) {
   HERO_CHECK(!layers_.empty());
   count_backward(grad_out.rows());
   HERO_CHECK_MSG(acts_.size() == layers_.size() + 1,
@@ -96,15 +107,20 @@ const Matrix& Mlp::backward(const Matrix& grad_out) {
   HERO_DCHECK_FINITE(grad_out, "Mlp::backward grad_out");
   if (grads_.size() != acts_.size()) grads_.resize(acts_.size());
   grads_.back().copy_from(grad_out);
-  for (std::size_t i = layers_.size(); i-- > 0;) {
+  for (std::size_t i = layers_.size(); i-- > 1;) {
     layers_[i]->backward_into(acts_[i], acts_[i + 1], grads_[i + 1], grads_[i]);
   }
-  HERO_DCHECK_FINITE(grads_.front(), "Mlp::backward grad_in");
-  return grads_.front();
+  if (input_grad) {
+    layers_[0]->backward_into(acts_[0], acts_[1], grads_[1], grads_[0]);
+  } else {
+    layers_[0]->backward_params_into(acts_[0], acts_[1], grads_[1]);
+  }
 }
 
 const Matrix& Mlp::backward_input(const Matrix& grad_out) {
+  OBS_PHASE("nn_backward");
   HERO_CHECK(!layers_.empty());
+  count_backward(grad_out.rows());
   HERO_CHECK_MSG(acts_.size() == layers_.size() + 1,
                  "Mlp::backward_input called before forward");
   HERO_CHECK(grad_out.same_shape(acts_.back()));

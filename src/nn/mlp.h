@@ -45,6 +45,11 @@ class Mlp {
   // backward on this network). Requires the matching forward() to have run.
   const Matrix& backward(const Matrix& grad_out);
 
+  // Like backward, but computes no dL/d(input) — for callers that only step
+  // the network's own parameters. Accumulates the same parameter gradients,
+  // bit for bit, and skips the first layer's dy·Wᵀ product.
+  void backward_params(const Matrix& grad_out);
+
   // Like backward, but computes only dL/d(input) and leaves parameter
   // gradients untouched — for differentiating through a frozen network
   // (e.g. dQ/da through the critics in an actor update). Roughly a third
@@ -73,6 +78,10 @@ class Mlp {
   bool empty() const { return layers_.empty(); }
 
  private:
+  // Shared body of backward and backward_params: every layer's backward,
+  // the first one's with or without its input gradient.
+  void backward_layers(const Matrix& grad_out, bool input_grad);
+
   std::vector<std::unique_ptr<Layer>> layers_;
 
   // Workspace: acts_[0] holds the (copied) input, acts_[i+1] the output of

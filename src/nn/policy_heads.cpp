@@ -137,8 +137,8 @@ std::vector<double> SquashedGaussianPolicy::act1(const std::vector<double>& obs,
   return sample(obs_row_, rng, deterministic).actions.row_vec(0);
 }
 
-const Matrix& SquashedGaussianPolicy::backward(const Sample& s, const Matrix& dL_da,
-                                               const std::vector<double>& dL_dlogp) {
+void SquashedGaussianPolicy::backward(const Sample& s, const Matrix& dL_da,
+                                      const std::vector<double>& dL_dlogp) {
   const std::size_t k = action_dim();
   const std::size_t n = s.actions.rows();
   HERO_CHECK(dL_da.rows() == n && dL_da.cols() == k && dL_dlogp.size() == n);
@@ -163,7 +163,7 @@ const Matrix& SquashedGaussianPolicy::backward(const Sample& s, const Matrix& dL
       grad_out_(i, k + j) = g_logstd * s.dls_draw(i, j);
     }
   }
-  return trunk_.backward(grad_out_);
+  trunk_.backward_params(grad_out_);
 }
 
 // ------------------------ DeterministicTanhPolicy ---------------------------
@@ -196,14 +196,14 @@ std::vector<double> DeterministicTanhPolicy::act1(const std::vector<double>& obs
   return forward(obs_row_).row_vec(0);
 }
 
-const Matrix& DeterministicTanhPolicy::backward(const Matrix& dL_da) {
+void DeterministicTanhPolicy::backward(const Matrix& dL_da) {
   grad_.copy_from(dL_da);
   for (std::size_t i = 0; i < grad_.rows(); ++i) {
     for (std::size_t j = 0; j < grad_.cols(); ++j) {
       grad_(i, j) *= 0.5 * (hi_[j] - lo_[j]);
     }
   }
-  return trunk_.backward(grad_);
+  trunk_.backward_params(grad_);
 }
 
 }  // namespace hero::nn

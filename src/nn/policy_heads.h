@@ -9,8 +9,8 @@
 //  * DeterministicTanhPolicy — DDPG/MADDPG actor, a = c + s·tanh(f(x)).
 //
 // Hot-path contract: sample_into / forward reuse caller- or policy-owned
-// buffers, and backward() returns a reference into the trunk workspace —
-// zero steady-state allocations end to end.
+// buffers, and backward() accumulates into the trunk's gradients in its
+// workspace — zero steady-state allocations end to end.
 #pragma once
 
 #include <optional>
@@ -80,10 +80,9 @@ class SquashedGaussianPolicy {
                      Matrix& actions);
 
   // Backprop given dL/d(action) (batch, k) and dL/d(log_prob) (batch).
-  // Accumulates trunk parameter gradients; returns dL/d(obs) — a reference
-  // into the trunk workspace, invalidated by the next backward.
-  const Matrix& backward(const Sample& s, const Matrix& dL_da,
-                         const std::vector<double>& dL_dlogp);
+  // Accumulates trunk parameter gradients (no dL/d(obs): no caller needs it).
+  void backward(const Sample& s, const Matrix& dL_da,
+                const std::vector<double>& dL_dlogp);
 
   Mlp& net() { return trunk_; }
   const std::vector<double>& lo() const { return lo_; }
@@ -111,9 +110,8 @@ class DeterministicTanhPolicy {
   const Matrix& forward(const Matrix& obs);
   std::vector<double> act1(const std::vector<double>& obs);
 
-  // Backprop dL/d(action); accumulates trunk grads, returns dL/d(obs) — a
-  // reference into the trunk workspace.
-  const Matrix& backward(const Matrix& dL_da);
+  // Backprop dL/d(action); accumulates trunk parameter gradients.
+  void backward(const Matrix& dL_da);
 
   Mlp& net() { return trunk_; }
   const std::vector<double>& lo() const { return lo_; }

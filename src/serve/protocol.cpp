@@ -1,6 +1,8 @@
 #include "serve/protocol.h"
 
+#include <bit>
 #include <cstring>
+#include <type_traits>
 
 namespace hero::serve {
 
@@ -21,18 +23,25 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
-void put_i32(std::vector<std::uint8_t>& out, std::int32_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-void put_f64s(std::vector<std::uint8_t>& out, const std::vector<double>& v) {
-  for (double d : v) put_f64(out, d);
+// Arrays go out in bulk: on a little-endian host the in-memory bytes are
+// already the wire bytes, so one resize and one memcpy write the whole
+// array. Elsewhere each element's bits are written low byte first.
+template <class T>
+void put_array(std::vector<std::uint8_t>& out, const std::vector<T>& v) {
+  const std::size_t at = out.size();
+  out.resize(at + v.size() * sizeof(T));
+  std::uint8_t* dst = out.data() + at;
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!v.empty()) std::memcpy(dst, v.data(), v.size() * sizeof(T));
+  } else {
+    using Bits = std::conditional_t<sizeof(T) == 8, std::uint64_t, std::uint32_t>;
+    for (const T x : v) {
+      const Bits bits = std::bit_cast<Bits>(x);
+      for (std::size_t b = 0; b < sizeof(T); ++b) {
+        *dst++ = static_cast<std::uint8_t>(bits >> (8 * b));
+      }
+    }
+  }
 }
 
 void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
@@ -75,16 +84,28 @@ struct Cursor {
     off += 8;
     return v;
   }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  void f64s(std::size_t count, std::vector<double>* out) {
+  // Reads `count` elements into `out`, after checking that all of them are
+  // in bounds (so a short payload never resizes `out`).
+  template <class T>
+  void array(std::size_t count, std::vector<T>* out) {
+    if (!ok || count > (n - off) / sizeof(T)) {
+      ok = false;
+      return;
+    }
     out->resize(count);
-    for (std::size_t i = 0; i < count; ++i) (*out)[i] = f64();
+    if constexpr (std::endian::native == std::endian::little) {
+      if (count > 0) std::memcpy(out->data(), p + off, count * sizeof(T));
+      off += count * sizeof(T);
+    } else {
+      using Bits = std::conditional_t<sizeof(T) == 8, std::uint64_t, std::uint32_t>;
+      for (T& x : *out) {
+        Bits bits = 0;
+        for (std::size_t b = 0; b < sizeof(T); ++b) {
+          bits |= static_cast<Bits>(p[off++]) << (8 * b);
+        }
+        x = std::bit_cast<T>(bits);
+      }
+    }
   }
   bool string(std::string* out) {
     const std::uint32_t len = u32();
@@ -136,21 +157,21 @@ void encode_act(const ActRequest& m, std::vector<std::uint8_t>& out) {
   const std::size_t at = begin_frame(out, MsgType::kAct);
   put_u64(out, m.request_id);
   put_u8(out, m.reset);
-  put_f64s(out, m.y);
-  put_f64s(out, m.heading);
-  put_f64s(out, m.speed);
-  for (std::int32_t l : m.lane) put_i32(out, l);
-  put_f64s(out, m.hl);
-  put_f64s(out, m.ll);
+  put_array(out, m.y);
+  put_array(out, m.heading);
+  put_array(out, m.speed);
+  put_array(out, m.lane);
+  put_array(out, m.hl);
+  put_array(out, m.ll);
   end_frame(out, at);
 }
 
 void encode_act_response(const ActResponse& m, std::vector<std::uint8_t>& out) {
   const std::size_t at = begin_frame(out, MsgType::kActResponse);
   put_u64(out, m.request_id);
-  put_f64s(out, m.linear);
-  put_f64s(out, m.angular);
-  for (std::int32_t o : m.option) put_i32(out, o);
+  put_array(out, m.linear);
+  put_array(out, m.angular);
+  put_array(out, m.option);
   end_frame(out, at);
 }
 
@@ -201,13 +222,12 @@ bool decode_act(const std::uint8_t* p, std::size_t n, std::uint32_t learners,
   Cursor c{p, n};
   out->request_id = c.u64();
   out->reset = c.u8();
-  c.f64s(learners, &out->y);
-  c.f64s(learners, &out->heading);
-  c.f64s(learners, &out->speed);
-  out->lane.resize(learners);
-  for (std::uint32_t k = 0; k < learners; ++k) out->lane[k] = c.i32();
-  c.f64s(static_cast<std::size_t>(learners) * hl_dim, &out->hl);
-  c.f64s(static_cast<std::size_t>(learners) * num_lanes * ll_dim, &out->ll);
+  c.array(learners, &out->y);
+  c.array(learners, &out->heading);
+  c.array(learners, &out->speed);
+  c.array(learners, &out->lane);
+  c.array(static_cast<std::size_t>(learners) * hl_dim, &out->hl);
+  c.array(static_cast<std::size_t>(learners) * num_lanes * ll_dim, &out->ll);
   return c.done();
 }
 
@@ -215,10 +235,9 @@ bool decode_act_response(const std::uint8_t* p, std::size_t n,
                          std::uint32_t learners, ActResponse* out) {
   Cursor c{p, n};
   out->request_id = c.u64();
-  c.f64s(learners, &out->linear);
-  c.f64s(learners, &out->angular);
-  out->option.resize(learners);
-  for (std::uint32_t k = 0; k < learners; ++k) out->option[k] = c.i32();
+  c.array(learners, &out->linear);
+  c.array(learners, &out->angular);
+  c.array(learners, &out->option);
   return c.done();
 }
 

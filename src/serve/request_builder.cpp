@@ -1,7 +1,5 @@
 #include "serve/request_builder.h"
 
-#include <algorithm>
-
 namespace hero::serve {
 
 void fill_request_from_world(const sim::LaneWorld& world, bool reset,
@@ -27,17 +25,13 @@ void fill_request_from_world(const sim::LaneWorld& world, bool reset,
     req->speed[k] = st.speed;
     req->lane[k] = world.lane(vi);
 
-    const auto hl = world.high_level_obs(vi);
-    std::copy(hl.begin(), hl.end(),
-              req->hl.begin() + static_cast<std::ptrdiff_t>(k * hl_dim));
+    world.high_level_obs_into(vi, req->hl.data() + k * hl_dim);
     for (int lane = 0; lane < lanes; ++lane) {
-      const auto ll = world.low_level_obs(vi, lane);
-      std::copy(ll.begin(), ll.end(),
-                req->ll.begin() +
-                    static_cast<std::ptrdiff_t>(
-                        (k * static_cast<std::size_t>(lanes) +
-                         static_cast<std::size_t>(lane)) *
-                        ll_dim));
+      world.low_level_obs_into(
+          vi, lane,
+          req->ll.data() +
+              (k * static_cast<std::size_t>(lanes) + static_cast<std::size_t>(lane)) *
+                  ll_dim);
     }
   }
 }

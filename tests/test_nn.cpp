@@ -2,15 +2,23 @@
 // differences), losses, optimizers, serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <functional>
+#include <limits>
 #include <sstream>
+#include <utility>
 
 #include "nn/grad_check.h"
 #include "nn/losses.h"
 #include "nn/mlp.h"
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
+#include "obs/metrics.h"
+#include "obs/phase.h"
 
 namespace hero::nn {
 namespace {
@@ -252,6 +260,78 @@ TEST(Sgd, MomentumAccelerates) {
     mom.step();
   }
   EXPECT_LT(std::abs(w2(0, 0)), std::abs(w1(0, 0)));
+}
+
+// ---------------------------------------------------------- activations ---
+
+// ReLU is y = x > 0 ? x : +0 and dx = x > 0 ? g : +0. NaN and −0 inputs give
+// +0 (never −0 or NaN), and the gradient passes through — NaN included —
+// exactly where x > 0. Odd lengths cover the vector body and its remainder.
+TEST(Activation, ReluKeepsNanAndSignedZeroSemantics) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> xs = {-0.0, nan, 2.5, -3.0, 0.0, inf, -inf, 1e-300, -1e-300};
+  const std::vector<double> gs = {7.0, 7.0, nan, nan, 7.0, -4.0, 5.0, 6.0, nan};
+  for (std::size_t len = 1; len <= xs.size(); ++len) {
+    Matrix x(1, len), g(1, len), y, dx;
+    std::copy(xs.begin(), xs.begin() + static_cast<std::ptrdiff_t>(len), x.data());
+    std::copy(gs.begin(), gs.begin() + static_cast<std::ptrdiff_t>(len), g.data());
+    ReLU relu(len);
+    relu.forward_into(x, y);
+    relu.backward_into(x, y, g, dx);
+    for (std::size_t i = 0; i < len; ++i) {
+      const bool live = xs[i] > 0.0;
+      const double want_y = live ? xs[i] : 0.0;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(y(0, i)),
+                std::bit_cast<std::uint64_t>(want_y))
+          << "forward of " << xs[i];
+      if (live && std::isnan(gs[i])) {
+        EXPECT_TRUE(std::isnan(dx(0, i))) << "backward at " << xs[i];
+      } else {
+        const double want_dx = live ? gs[i] : 0.0;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(dx(0, i)),
+                  std::bit_cast<std::uint64_t>(want_dx))
+            << "backward at " << xs[i];
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------- observability ---
+
+// Every backward entry point is one nn_backward phase and one
+// nn.backward_calls count, so the per-layer breakdown sees all of them.
+TEST(MlpObservability, EveryBackwardIsScopedAndCounted) {
+  obs::set_metrics_enabled(true);
+  obs::set_phases_enabled(true);
+  Rng rng(71);
+  Mlp net(5, {8}, 3, rng);
+  Matrix x(4, 5, 0.5), dy(4, 3, 1.0);
+  obs::Counter& calls = obs::Registry::instance().counter("nn.backward_calls");
+  obs::Counter& rows = obs::Registry::instance().counter("nn.backward_rows");
+  const std::pair<const char*, std::function<void()>> entries[] = {
+      {"backward", [&] { net.backward(dy); }},
+      {"backward_params", [&] { net.backward_params(dy); }},
+      {"backward_input", [&] { net.backward_input(dy); }},
+  };
+  for (const auto& [name, run] : entries) {
+    net.forward(x);
+    obs::PhaseRegistry::instance().reset();
+    const long long calls0 = calls.value(), rows0 = rows.value();
+    run();
+    const auto stats = obs::PhaseRegistry::instance().snapshot();
+    const auto it = std::find_if(stats.begin(), stats.end(), [](const obs::PhaseStat& s) {
+      return s.name == "nn_backward";
+    });
+    ASSERT_NE(it, stats.end()) << name;
+    EXPECT_EQ(it->count, 1u) << name;
+    EXPECT_EQ(calls.value(), calls0 + 1) << name;
+    EXPECT_EQ(rows.value(), rows0 + 4) << name;
+  }
+  obs::set_metrics_enabled(false);
+  obs::set_phases_enabled(false);
+  obs::Registry::instance().reset_values();
+  obs::PhaseRegistry::instance().reset();
 }
 
 // ------------------------------------------------------------ Mlp utils ---

@@ -5,13 +5,19 @@
 // kernels must be numerically equivalent, not merely close.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "nn/grad_check.h"
+#include "nn/kernels.h"
 #include "nn/linear.h"
 #include "nn/losses.h"
 #include "nn/mlp.h"
+#include "support/nn_kernel_oracle.h"
 
 namespace hero::nn {
 namespace {
@@ -171,6 +177,106 @@ TEST(FusedKernels, ResizeKeepsCapacityAcrossShrinkGrow) {
   m.resize(4, 4);
   m.resize(8, 8);
   EXPECT_EQ(m.data(), before);  // capacity (and storage) retained
+}
+
+// ------------------------------------------ bitwise op sequences ----
+
+// Index of the first element whose bits differ, or -1.
+long first_mismatch(const double* got, const double* want, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    if (std::bit_cast<std::uint64_t>(got[i]) != std::bit_cast<std::uint64_t>(want[i])) {
+      return static_cast<long>(i);
+    }
+  }
+  return -1;
+}
+
+// Every kernel variant this host can run must reproduce the scalar oracle's
+// per-element IEEE sequence bit for bit (tests/support/nn_kernel_oracle.h).
+// The oracle states the sequences of the kernels that produced the committed
+// checkpoints and digests, so a kernel rewrite passes only if it leaves
+// every weight where the old kernels put it. The n values cover each
+// column tail (n mod 4), each register-tile width up to 32 and the chunk
+// boundaries past it; m = 1 is serving a batch of one, n = 1 a critic head.
+TEST(FusedKernels, MatchParentOpSequence) {
+  constexpr std::size_t kMaxM = 70, kMaxK = 45;
+  const std::vector<std::size_t> widths = {1,  2,  3,  4,  5,  6,  7,  8,
+                                           9,  12, 15, 16, 17, 24, 25, 31,
+                                           32, 33, 36, 40, 47, 64, 65};
+  std::vector<const kernels::KernelSet*> sets;
+  for (const kernels::KernelSet& set : kernels::kernel_sets()) {
+#if defined(__FMA__)
+    // -march=native lets the compiler contract the baseline loops, so their
+    // sequence is the compiler's choice there.
+    if (!set.fma) continue;
+#endif
+    if (set.supported) {
+      sets.push_back(&set);
+    } else {
+      std::printf("skipping %s kernels: this CPU lacks the instructions\n", set.isa);
+    }
+  }
+  ASSERT_FALSE(sets.empty());
+
+  Rng rng(61);
+  std::vector<double> want, want_b, want_acc, want_blocks, want_ga, out;
+  for (std::size_t k = 1; k <= kMaxK; ++k) {
+    for (std::size_t n : widths) {
+      const Matrix a = random_matrix(kMaxM, k, rng);
+      const Matrix w = random_matrix(k, n, rng);
+      const Matrix bias = random_matrix(1, n, rng);
+      const Matrix wt = random_matrix(n, k, rng);
+      const Matrix dy = random_matrix(kMaxM, n, rng);
+      const Matrix o0 = random_matrix(kMaxM, n, rng);
+      const Matrix g0 = random_matrix(k, n, rng);
+      for (const oracle::Seq seq : {oracle::Seq::kBase, oracle::Seq::kFma}) {
+        // Row-local kernels (affine, transB) give row i the same bits at
+        // every m, so one oracle run over kMaxM rows covers every m.
+        want.resize(kMaxM * n);
+        oracle::affine(seq, a.data(), kMaxM, k, w.data(), n, bias.data(), want.data());
+        want_b.resize(kMaxM * n);
+        oracle::transB(seq, a.data(), kMaxM, k, wt.data(), n, want_b.data(), false);
+        want_acc.assign(o0.data(), o0.data() + kMaxM * n);
+        oracle::transB(seq, a.data(), kMaxM, k, wt.data(), n, want_acc.data(), true);
+        // transA contracts over m, so each m has its own answer. The oracle
+        // folds rows in 4-blocks from row 0, so the answer for m continues
+        // the one for 4·⌊m/4⌋ rows with the leftover rows.
+        want_blocks.assign(g0.data(), g0.data() + k * n);
+        for (std::size_t m = 1; m <= kMaxM; ++m) {
+          const std::size_t base = m - m % 4;
+          want_ga = want_blocks;
+          oracle::transA_accum(seq, a.row_ptr(base), m - base, k, dy.row_ptr(base), n,
+                               want_ga.data());
+          if (m % 4 == 3) {
+            oracle::transA_accum(seq, a.row_ptr(base), 4, k, dy.row_ptr(base), n,
+                                 want_blocks.data());
+          }
+          for (const kernels::KernelSet* set : sets) {
+            if ((set->fma ? oracle::Seq::kFma : oracle::Seq::kBase) != seq) continue;
+            const auto shape = [&](const char* kernel) {
+              return std::string(set->isa) + " " + kernel + " m=" + std::to_string(m) +
+                     " k=" + std::to_string(k) + " n=" + std::to_string(n);
+            };
+            out.assign(m * n, 0.0);
+            set->affine(a.data(), m, k, w.data(), n, bias.data(), out.data());
+            ASSERT_EQ(first_mismatch(out.data(), want.data(), m * n), -1)
+                << shape("affine");
+            set->transB(a.data(), m, k, wt.data(), n, out.data(), false);
+            ASSERT_EQ(first_mismatch(out.data(), want_b.data(), m * n), -1)
+                << shape("transB");
+            out.assign(o0.data(), o0.data() + m * n);
+            set->transB(a.data(), m, k, wt.data(), n, out.data(), true);
+            ASSERT_EQ(first_mismatch(out.data(), want_acc.data(), m * n), -1)
+                << shape("transB accumulate");
+            out.assign(g0.data(), g0.data() + k * n);
+            set->transA_accum(a.data(), m, k, dy.data(), n, out.data());
+            ASSERT_EQ(first_mismatch(out.data(), want_ga.data(), k * n), -1)
+                << shape("transA");
+          }
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------- Linear fused backward ----

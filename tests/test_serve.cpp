@@ -5,7 +5,10 @@
 // evaluation, and hot reload neither drops nor perturbs in-flight sessions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -69,6 +72,55 @@ TEST(Protocol, ActRoundTrip) {
   EXPECT_EQ(out.lane, req.lane);
   EXPECT_EQ(out.hl, req.hl);
   EXPECT_EQ(out.ll, req.ll);
+}
+
+// The encoder's bytes against a frame built here field by field, little-
+// endian, in protocol.h's order: a change to how arrays are written must not
+// move a single byte on the wire.
+TEST(Protocol, ActFrameBytesAreStable) {
+  ActRequest req;
+  req.request_id = 0x0123456789abcdefULL;
+  req.reset = 1;
+  req.y = {0.5, -1.5};
+  req.heading = {0.01, -0.02};
+  req.speed = {10.0, 11.25};
+  req.lane = {2, -1};
+  for (int i = 0; i < 2 * 3; ++i) req.hl.push_back(0.25 * i - 1.0);
+  for (int i = 0; i < 2 * 2 * 2; ++i) req.ll.push_back(-0.125 * i + 3.0);
+
+  std::vector<std::uint8_t> want;
+  const auto put = [&want](std::uint64_t v, int bytes) {
+    for (int b = 0; b < bytes; ++b) {
+      want.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
+    }
+  };
+  const auto put_doubles = [&put](const std::vector<double>& v) {
+    for (double d : v) put(std::bit_cast<std::uint64_t>(d), 8);
+  };
+  put(0, 4);  // length, patched below
+  put(static_cast<std::uint8_t>(MsgType::kAct), 1);
+  put(req.request_id, 8);
+  put(req.reset, 1);
+  put_doubles(req.y);
+  put_doubles(req.heading);
+  put_doubles(req.speed);
+  for (std::int32_t l : req.lane) put(static_cast<std::uint32_t>(l), 4);
+  put_doubles(req.hl);
+  put_doubles(req.ll);
+  const std::uint32_t len = static_cast<std::uint32_t>(want.size() - 4);
+  for (std::size_t b = 0; b < 4; ++b) want[b] = static_cast<std::uint8_t>(len >> (8 * b));
+
+  std::vector<std::uint8_t> got = {0xAA};  // encoding appends
+  encode_act(req, got);
+  ASSERT_EQ(got.size(), want.size() + 1);
+  EXPECT_EQ(got[0], 0xAA);
+  EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin() + 1));
+
+  ActRequest back;
+  ASSERT_TRUE(decode_act(want.data() + 5, want.size() - 5, 2, 3, 2, 2, &back));
+  EXPECT_EQ(back.lane, req.lane);
+  EXPECT_EQ(back.hl, req.hl);
+  EXPECT_EQ(back.ll, req.ll);
 }
 
 TEST(Protocol, ResponseAndAdminRoundTrips) {
