@@ -3,6 +3,8 @@
 // (default, instant) or with a freshly-trained HERO policy (--train).
 //
 // Run:  ./lane_change_demo [--train] [--episodes 2] [--seed S]
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -20,62 +22,65 @@ using hero::sim::TwistCmd;
 
 // A transparent scripted policy: the blocked vehicle changes lane when the
 // gap ahead closes; vehicles in the target lane yield (slow) while anyone is
-// mid-manoeuvre. Useful as a readable reference behaviour.
+// mid-manoeuvre. Useful as a readable reference behaviour. Like every
+// controller it reads only what a batch slot carries: the ego scalars, the
+// high-level rows, the track and the control period.
 class RuleController : public hero::rl::Controller {
  public:
-  explicit RuleController(int merger_index) : merger_(merger_index) {}
+  // `merger` is the merging vehicle's learner index.
+  explicit RuleController(int merger) : merger_(merger) {}
 
-  void begin_episode(const LaneWorld& world) override {
-    (void)world;
-    merging_ = false;  // the "option" state: commit to a started lane change
-  }
-
-  std::vector<TwistCmd> act(const LaneWorld& world, hero::Rng& rng,
-                            bool explore) override {
-    (void)rng;
+  void act_rows_into(const hero::rl::ObsBatch& batch, hero::Rng* const* rngs,
+                     bool explore, TwistCmd* cmds_out) override {
+    (void)rngs;
     (void)explore;
-    const auto mst = world.state(merger_);
-    const double target_c = world.track().lane_center(1);
-    // Commit/terminate the merge manoeuvre (mirrors an option's β_o): start
-    // when blocked, finish only when settled in the target lane.
-    const auto merger_obs = world.high_level_obs(merger_);
-    if (!merging_ && world.lane(merger_) == 0 && merger_obs[0] < 0.45) {
-      merging_ = true;
-    }
-    if (merging_ && std::abs(mst.y - target_c) < 0.05 &&
-        std::abs(mst.heading) < 0.15) {
-      merging_ = false;
-    }
+    const int n = batch.num_learners();
+    if (merging_.size() < batch.count()) merging_.resize(batch.count(), false);
+    for (std::size_t s = 0; s < batch.count(); ++s) {
+      const hero::rl::ObsBatch::SlotMeta& slot = batch.slot(s);
+      if (!slot.active) continue;
+      // The "option" state: commit to a started lane change.
+      if (slot.reset) merging_[s] = false;
+      const auto& m = batch.scalars(s, merger_);
+      const double target_c = slot.track->lane_center(1);
+      // Commit/terminate the merge manoeuvre (mirrors an option's β_o): start
+      // when blocked, finish only when settled in the target lane.
+      if (!merging_[s] && m.lane == 0 && batch.hl_row(s, merger_)[0] < 0.45) {
+        merging_[s] = true;
+      }
+      if (merging_[s] && std::abs(m.y - target_c) < 0.05 &&
+          std::abs(m.heading) < 0.15) {
+        merging_[s] = false;
+      }
+      const bool merging = merging_[s];
 
-    std::vector<TwistCmd> cmds;
-    for (int k = 0; k < world.num_learners(); ++k) {
-      const int vi = world.learners()[static_cast<std::size_t>(k)];
-      const auto obs = world.high_level_obs(vi);
-      const double front_gap = obs[0];  // beam 0: straight ahead, normalized
-      if (vi == merger_) {
-        const int goal_lane = merging_ ? 1 : world.lane(vi);
-        const double y_err = world.track().lane_center(goal_lane) -
-                             world.state(vi).y;
-        const double theta_des = std::clamp(2.5 * y_err, -0.6, 0.6);
-        const double w_cap = merging_ ? 0.25 : 0.1;
-        const double w = std::clamp(
-            (theta_des - world.state(vi).heading) / world.config().dt,
-            -w_cap, w_cap);
-        const double v = merging_ ? 0.14 : (front_gap < 0.2 ? 0.05 : 0.12);
-        cmds.push_back({v, w});
-      } else {
-        // Yield while the merger is manoeuvring; never tailgate.
-        double v = merging_ ? 0.06 : 0.12;
-        if (front_gap < 0.15) v = 0.05;
-        cmds.push_back({v, 0.0});
+      for (int k = 0; k < n; ++k) {
+        const auto& sc = batch.scalars(s, k);
+        const double front_gap = batch.hl_row(s, k)[0];  // beam 0: straight ahead
+        TwistCmd& cmd = cmds_out[s * static_cast<std::size_t>(n) +
+                                 static_cast<std::size_t>(k)];
+        if (k == merger_) {
+          const int goal_lane = merging ? 1 : sc.lane;
+          const double y_err = slot.track->lane_center(goal_lane) - sc.y;
+          const double theta_des = std::clamp(2.5 * y_err, -0.6, 0.6);
+          const double w_cap = merging ? 0.25 : 0.1;
+          const double w =
+              std::clamp((theta_des - sc.heading) / slot.dt, -w_cap, w_cap);
+          const double v = merging ? 0.14 : (front_gap < 0.2 ? 0.05 : 0.12);
+          cmd = {v, w};
+        } else {
+          // Yield while the merger is manoeuvring; never tailgate.
+          double v = merging ? 0.06 : 0.12;
+          if (front_gap < 0.15) v = 0.05;
+          cmd = {v, 0.0};
+        }
       }
     }
-    return cmds;
   }
 
  private:
   int merger_;
-  bool merging_ = false;
+  std::vector<bool> merging_;  // per slot
 };
 
 void render(const LaneWorld& world) {
@@ -108,6 +113,7 @@ int main(int argc, char** argv) {
 
   hero::Rng rng(seed);
   auto scenario = hero::sim::cooperative_lane_change();
+  hero::sim::LaneWorld world(scenario.config);
 
   std::unique_ptr<hero::rl::Controller> controller;
   std::unique_ptr<hero::core::HeroTrainer> trainer;
@@ -120,14 +126,17 @@ int main(int argc, char** argv) {
     trainer->train(train_episodes, rng);
     controller = std::move(trainer);
   } else {
-    controller = std::make_unique<RuleController>(scenario.merger_index);
+    const auto& learners = world.learners();
+    const auto merger =
+        std::find(learners.begin(), learners.end(), scenario.merger_index);
+    controller = std::make_unique<RuleController>(
+        static_cast<int>(merger - learners.begin()));
   }
 
-  hero::sim::LaneWorld world(scenario.config);
   for (int ep = 0; ep < episodes; ++ep) {
     std::printf("--- episode %d ---\n", ep + 1);
     world.reset(rng);
-    controller->begin_episode(world);
+    controller->begin_episode();
     hero::viz::TrajectoryRecorder rec;
     rec.start(world);
     render(world);

@@ -88,18 +88,6 @@ void ComaTrainer::batched_act(const rl::ObsBatch& batch, Rng* const* rngs,
   }
 }
 
-std::vector<sim::TwistCmd> ComaTrainer::act(const sim::LaneWorld& world, Rng& rng,
-                                            bool explore) {
-  std::vector<sim::TwistCmd> cmds;
-  for (int k = 0; k < n_; ++k) {
-    const int vi = world.learners()[static_cast<std::size_t>(k)];
-    const std::size_t a = actors_[static_cast<std::size_t>(k)].act(
-        baseline_obs(world, vi), rng, /*greedy=*/!explore);
-    cmds.push_back(grid_.decode(a));
-  }
-  return cmds;
-}
-
 void ComaTrainer::update_from_episode(const std::vector<StepRecord>& episode,
                                       Rng& rng) {
   OBS_PHASE("update");

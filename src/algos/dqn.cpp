@@ -86,16 +86,6 @@ std::size_t IndependentDqnTrainer::select_action(int agent,
   return static_cast<std::size_t>(std::max_element(qs.begin(), qs.end()) - qs.begin());
 }
 
-std::vector<sim::TwistCmd> IndependentDqnTrainer::act(const sim::LaneWorld& world,
-                                                      Rng& rng, bool explore) {
-  std::vector<sim::TwistCmd> cmds;
-  for (int k = 0; k < world.num_learners(); ++k) {
-    const int vi = world.learners()[static_cast<std::size_t>(k)];
-    cmds.push_back(grid_.decode(select_action(k, baseline_obs(world, vi), rng, explore)));
-  }
-  return cmds;
-}
-
 double IndependentDqnTrainer::update_math(int agent,
                                           const std::vector<const Transition*>& batch,
                                           const std::vector<double>* weights,

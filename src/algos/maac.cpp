@@ -88,17 +88,6 @@ std::size_t MaacTrainer::sample_action(int agent, const std::vector<double>& obs
   return actor_.act(actor_obs(obs, agent), rng, greedy);
 }
 
-std::vector<sim::TwistCmd> MaacTrainer::act(const sim::LaneWorld& world, Rng& rng,
-                                            bool explore) {
-  std::vector<sim::TwistCmd> cmds;
-  for (int k = 0; k < n_; ++k) {
-    const int vi = world.learners()[static_cast<std::size_t>(k)];
-    cmds.push_back(grid_.decode(
-        sample_action(k, baseline_obs(world, vi), rng, /*greedy=*/!explore)));
-  }
-  return cmds;
-}
-
 void MaacTrainer::update(Rng& rng) {
   OBS_PHASE("update");
   if (!buffer_.ready(std::max(cfg_.batch, cfg_.warmup_steps))) return;

@@ -90,17 +90,6 @@ std::vector<double> MaddpgTrainer::actor_action(int agent,
   return a;
 }
 
-std::vector<sim::TwistCmd> MaddpgTrainer::act(const sim::LaneWorld& world, Rng& rng,
-                                              bool explore) {
-  std::vector<sim::TwistCmd> cmds;
-  for (int k = 0; k < n_; ++k) {
-    const int vi = world.learners()[static_cast<std::size_t>(k)];
-    auto a = actor_action(k, baseline_obs(world, vi), rng, explore);
-    cmds.push_back({a[0], a[1]});
-  }
-  return cmds;
-}
-
 void MaddpgTrainer::update(Rng& rng) {
   OBS_PHASE("update");
   if (!buffer_.ready(std::max(cfg_.batch, cfg_.warmup_steps))) return;

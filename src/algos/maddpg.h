@@ -24,12 +24,11 @@ class MaddpgTrainer : public rl::Controller {
 
   void train(int episodes, Rng& rng, const EpisodeHook& hook = {});
 
-  std::vector<sim::TwistCmd> act(const sim::LaneWorld& world, Rng& rng,
-                                 bool explore) override;
-  // Batch-first deployment: one actor forward per agent over all active
-  // slots; exploration noise comes from each slot's own stream in the scalar
-  // act()'s order, so commands are bitwise-identical to looping act() per
-  // slot in both modes (test_serve.cpp).
+  // rl::Controller (greedy when explore == false): one actor forward per
+  // agent over all active slots; exploration noise comes from each slot's
+  // own stream, agents in order, so one call over many slots is
+  // bitwise-identical to one width-1 call (act()) per slot in both modes
+  // (BaselineServing.ActRowsMatchPerSlotAct in test_serve.cpp).
   void act_rows_into(const rl::ObsBatch& batch, Rng* const* rngs, bool explore,
                      sim::TwistCmd* cmds_out) override;
 

@@ -21,12 +21,13 @@ void HeroActEngine::act_rows(SkillBank& skills,
   const std::size_t hl_dim = batch.hl_dim();
   const std::size_t ll_dim = batch.ll_dim();
   const std::size_t opp_dim = agents.empty() ? 0 : agents[0]->opponents().feature_dim();
-  const auto idx = [n](std::size_t s, int k) {
-    return s * static_cast<std::size_t>(n) + static_cast<std::size_t>(k);
-  };
+  n_ = n;
 
+  {
+  OBS_PHASE("select");
   // (1) Session init / β_o termination → who re-selects this tick.
   needs_select_.assign(count * static_cast<std::size_t>(n), 0);
+  blocks_.resize(count * static_cast<std::size_t>(n), opp_dim);
   for (std::size_t s = 0; s < count; ++s) {
     const auto& meta = batch.slot(s);
     if (!meta.active) continue;
@@ -38,8 +39,8 @@ void HeroActEngine::act_rows(SkillBank& skills,
       sess.options.assign(static_cast<std::size_t>(n),
                           static_cast<int>(Option::kKeepLane));
       for (int k = 0; k < n; ++k) {
-        // Fresh sessions explore from the learner's current ε-schedule
-        // position — the same convention as the batched training rollout.
+        // A fresh session explores from the learner's ε-schedule position
+        // at its start (in stage 2, the position at the round's start).
         sess.agents[static_cast<std::size_t>(k)].selections =
             agents[static_cast<std::size_t>(k)]->high_level().selections();
         needs_select_[idx(s, k)] = 1;
@@ -92,6 +93,8 @@ void HeroActEngine::act_rows(SkillBank& skills,
 
     for (std::size_t r = 0; r < m; ++r) {
       const std::size_t s = sel_slots_[r];
+      std::copy(sel_blocks_.row_ptr(r), sel_blocks_.row_ptr(r) + opp_dim,
+                blocks_.row_ptr(idx(s, k)));
       HeroSession::AgentState& as = sessions[s]->agents[static_cast<std::size_t>(k)];
       const auto& sc = batch.scalars(s, k);
       ++as.selections;
@@ -109,10 +112,12 @@ void HeroActEngine::act_rows(SkillBank& skills,
   for (std::size_t s = 0; s < count; ++s) {
     if (batch.slot(s).active) sessions[s]->started = true;
   }
+  }  // OBS_PHASE("select")
 
   // (3) Skill commands: keep-lane closed-form, learned options option-major
   // with one batched policy forward each. One world step follows each tick
-  // by contract, mirroring the serial act()'s ++exec.steps.
+  // by contract, so every held option ages by one step here.
+  OBS_PHASE("skills");
   for (std::size_t s = 0; s < count; ++s) {
     if (!batch.slot(s).active) continue;
     for (int k = 0; k < n; ++k) {

@@ -22,13 +22,14 @@ BatchedRollout::BatchedRollout(const sim::Scenario& scenario,
   n_ = world_.num_learners();
   HERO_CHECK(static_cast<int>(agents_.size()) == n_);
   const std::size_t slots = static_cast<std::size_t>(E_) * static_cast<std::size_t>(n_);
+  batch_.configure(n_, world_.high_level_obs_dim(), world_.low_level_obs_dim(),
+                   world_.track().num_lanes());
+  sessions_.resize(static_cast<std::size_t>(E_));
+  for (HeroSession& s : sessions_) session_ptrs_.push_back(&s);
   episodes_.resize(static_cast<std::size_t>(E_));
   lane_agents_.resize(slots);
   options_.assign(slots, static_cast<int>(Option::kKeepLane));
-  started_.assign(static_cast<std::size_t>(E_), 0);
-  needs_select_.assign(slots, 0);
   cmds_.assign(slots, sim::TwistCmd{});
-  hl_obs_.resize(slots, world_.high_level_obs_dim());
 }
 
 void BatchedRollout::begin_lane(std::size_t lane) {
@@ -46,19 +47,19 @@ void BatchedRollout::begin_lane(std::size_t lane) {
                 static_cast<std::size_t>(std::max(n_ - 1, 0)));
   for (auto& v : ep.opp) v.clear();
 
+  // The lane's session starts over: its first tick selects every agent's
+  // initial option, exploring from the learner's round-start ε-schedule
+  // position, so the trajectory of episode e cannot depend on which lanes
+  // finish first.
+  sessions_[lane].reset();
   for (int k = 0; k < n_; ++k) {
     LaneAgent& la = lane_agents_[la_index(lane, k)];
-    la.exec = OptionExecution{};
     la.has_pending = false;
     la.opp_cache.clear();
-    // Every lane explores from the learner's round-start ε-schedule
-    // position, so the trajectory of episode e cannot depend on which lanes
-    // finish first.
-    la.selections = agents_[static_cast<std::size_t>(k)]->high_level().selections();
-    ep.selections[static_cast<std::size_t>(k)] = la.selections;
+    ep.selections[static_cast<std::size_t>(k)] =
+        agents_[static_cast<std::size_t>(k)]->high_level().selections();
     options_[la_index(lane, k)] = static_cast<int>(Option::kKeepLane);
   }
-  started_[lane] = 0;
 }
 
 void BatchedRollout::run_round(std::uint64_t root, std::size_t first,
@@ -98,6 +99,51 @@ void BatchedRollout::stage_opp_labels(std::size_t lane, int k,
   }
 }
 
+void BatchedRollout::record_selections(std::size_t lane) {
+  BatchedEpisode& ep = episodes_[lane];
+  const std::size_t hl_dim = world_.high_level_obs_dim();
+  const std::size_t opp_dim =
+      static_cast<std::size_t>(std::max(n_ - 1, 0)) * kNumOptions;
+  const std::vector<int>& held = sessions_[lane].options;  // after this tick
+  for (int k = 0; k < n_; ++k) {
+    if (!engine_.selected(lane, k)) continue;
+    LaneAgent& la = lane_agents_[la_index(lane, k)];
+    const double* row = batch_.hl_row(lane, k);
+    if (la.has_pending) {
+      // β_o fired: the option that ran up to this tick ends at the
+      // observation the next one starts from. An initial selection has
+      // nothing to close.
+      ep.high[static_cast<std::size_t>(k)].push_back(
+          {std::move(la.pend_obs), std::move(la.pend_opp_actual), la.pend_option,
+           la.pend_reward, la.pend_discount, std::vector<double>(row, row + hl_dim),
+           /*done=*/false});
+      ++ep.switches;
+    }
+    la.pend_obs.assign(row, row + hl_dim);
+    // The engine selects agent-major, k ascending: an opponent j < k already
+    // holds its option of this tick, an opponent j > k still the one it held
+    // before.
+    la.pend_opp_actual.assign(opp_dim, 0.0);
+    std::size_t slot = 0;
+    for (int j = 0; j < n_; ++j) {
+      if (j == k) continue;
+      const int opt = j < k ? held[static_cast<std::size_t>(j)]
+                            : options_[la_index(lane, j)];
+      la.pend_opp_actual[slot * kNumOptions + static_cast<std::size_t>(opt)] = 1.0;
+      ++slot;
+    }
+    la.pend_option = held[static_cast<std::size_t>(k)];
+    la.pend_reward = 0.0;
+    la.pend_discount = 1.0;
+    la.has_pending = true;
+    if (opp_dim > 0) {
+      la.opp_cache.assign(engine_.opp_block(lane, k),
+                          engine_.opp_block(lane, k) + opp_dim);
+    }
+  }
+  std::copy(held.begin(), held.end(), options_.begin() + static_cast<long>(la_index(lane, 0)));
+}
+
 void BatchedRollout::finish_lane(std::size_t lane, bool observing) {
   BatchedEpisode& ep = episodes_[lane];
   const std::size_t hl_dim = world_.high_level_obs_dim();
@@ -106,16 +152,14 @@ void BatchedRollout::finish_lane(std::size_t lane, bool observing) {
   // Terminal observation per agent: feeds the episode's last opponent labels
   // (labels follow every step, including the last) and the done = true
   // store of each agent's pending semi-MDP transition.
+  batch_.set_slot_from_world(lane, world_, e, /*reset=*/false, &sched_.rng(lane));
   for (int k = 0; k < n_; ++k) {
-    const int vi = world_.learners()[static_cast<std::size_t>(k)];
-    double* row = hl_obs_.row_ptr(la_index(lane, k));
-    world_.high_level_obs_into(e, vi, row);
-    stage_opp_labels(lane, k, row, observing);
+    stage_opp_labels(lane, k, batch_.hl_row(lane, k), observing);
   }
   for (int k = 0; k < n_; ++k) {
     LaneAgent& la = lane_agents_[la_index(lane, k)];
     if (!la.has_pending) continue;
-    const double* row = hl_obs_.row_ptr(la_index(lane, k));
+    const double* row = batch_.hl_row(lane, k);
     ep.high[static_cast<std::size_t>(k)].push_back(
         {std::move(la.pend_obs), std::move(la.pend_opp_actual), la.pend_option,
          la.pend_reward, la.pend_discount, std::vector<double>(row, row + hl_dim),
@@ -132,231 +176,58 @@ void BatchedRollout::finish_lane(std::size_t lane, bool observing) {
   for (int vi : world_.learners()) speed += world_.mean_speed(e, vi);
   ep.stats.mean_speed = speed / static_cast<double>(n_);
   for (int k = 0; k < n_; ++k) {
-    const LaneAgent& la = lane_agents_[la_index(lane, k)];
     ep.selections[static_cast<std::size_t>(k)] =
-        la.selections - ep.selections[static_cast<std::size_t>(k)];
+        sessions_[lane].agents[static_cast<std::size_t>(k)].selections -
+        ep.selections[static_cast<std::size_t>(k)];
   }
   sched_.finish(lane);
 }
 
 void BatchedRollout::step_once(bool observing) {
-  const std::size_t hl_dim = world_.high_level_obs_dim();
-  const std::size_t ll_dim = world_.low_level_obs_dim();
-  const std::size_t opp_dim =
-      static_cast<std::size_t>(std::max(n_ - 1, 0)) * kNumOptions;
   const std::size_t lanes = sched_.round_size();
 
   {
     OBS_PHASE("obs_build");
-    // (1) High-level observations for every live (lane, agent): one row
-    // serves as the previous step's opponent label, this step's
-    // termination/selection input, and the pending transition's next_obs.
+    // (1) One batch slot per live lane, sensor noise from the lane's stream.
+    // Its high-level rows serve as the previous step's opponent labels, this
+    // tick's termination/selection input and the next_obs of any transition
+    // a re-selection closes.
+    batch_.set_count(lanes);
     for (std::size_t lane = 0; lane < lanes; ++lane) {
-      if (!sched_.active(lane)) continue;
+      if (!sched_.active(lane)) {
+        batch_.slot(lane).active = false;
+        continue;
+      }
+      batch_.set_slot_from_world(lane, world_, static_cast<int>(lane),
+                                 /*reset=*/false, &sched_.rng(lane));
+      // (2) Opponent labels for the step just taken, from the options held
+      // during it (this tick's selection comes after).
+      if (!sessions_[lane].started) continue;
       for (int k = 0; k < n_; ++k) {
-        const int vi = world_.learners()[static_cast<std::size_t>(k)];
-        world_.high_level_obs_into(static_cast<int>(lane), vi,
-                                   hl_obs_.row_ptr(la_index(lane, k)));
-      }
-    }
-
-    // (2) Opponent labels for the step just taken (options on the board are
-    // still the ones held during it — selection below happens after).
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      if (!sched_.active(lane) || !started_[lane]) continue;
-      for (int k = 0; k < n_; ++k) {
-        stage_opp_labels(lane, k, hl_obs_.row_ptr(la_index(lane, k)), observing);
-      }
-    }
-
-    // (3) β_o termination per (lane, agent): finalize the pending semi-MDP
-    // transition (next_obs = current row, done = false) and flag for
-    // re-selection. Unstarted lanes flag every agent (initial selection).
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      if (!sched_.active(lane)) continue;
-      for (int k = 0; k < n_; ++k) {
-        const std::size_t idx = la_index(lane, k);
-        LaneAgent& la = lane_agents_[idx];
-        if (!started_[lane]) {
-          needs_select_[idx] = 1;
-          continue;
-        }
-        const int vi = world_.learners()[static_cast<std::size_t>(k)];
-        const auto st = world_.state(static_cast<int>(lane), vi);
-        if (!option_terminated(la.exec, world_.track(), st.y, st.heading,
-                               /*world_done=*/false, term_)) {
-          needs_select_[idx] = 0;
-          continue;
-        }
-        if (la.has_pending) {
-          const double* row = hl_obs_.row_ptr(idx);
-          episodes_[lane].high[static_cast<std::size_t>(k)].push_back(
-              {std::move(la.pend_obs), std::move(la.pend_opp_actual),
-               la.pend_option, la.pend_reward, la.pend_discount,
-               std::vector<double>(row, row + hl_dim), /*done=*/false});
-          la.has_pending = false;
-        }
-        ++episodes_[lane].switches;
-        needs_select_[idx] = 1;
+        stage_opp_labels(lane, k, batch_.hl_row(lane, k), observing);
       }
     }
   }
 
-  // (4) Option selection, agent-major: for agent k, all lanes that need a
-  // selection share one opponent-model forward and one actor forward; the
-  // ε/categorical draws then come lane-ascending from each lane's own
-  // stream. Processing k ascending fixes the one-hot opponent blocks'
-  // convention: agents < k already updated this step, agents > k still on
-  // their previous option.
-  {
-  OBS_PHASE("select");
-  for (int k = 0; k < n_; ++k) {
-    sel_lanes_.clear();
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      if (sched_.active(lane) && needs_select_[la_index(lane, k)] != 0) {
-        sel_lanes_.push_back(lane);
-      }
-    }
-    if (sel_lanes_.empty()) continue;
-    const std::size_t m = sel_lanes_.size();
+  // (3) One engine tick over every live lane: β_o termination, option
+  // selection and skill commands, exploring, each lane drawing from its own
+  // stream (the engine's `select` and `skills` phases).
+  engine_.act_rows(skills_, agents_, high_cfg_, term_, batch_, session_ptrs_.data(),
+                   sched_.rng_ptrs(), /*explore=*/true, cmds_.data());
 
-    sel_obs_.resize(m, hl_dim);
-    for (std::size_t r = 0; r < m; ++r) {
-      const double* src = hl_obs_.row_ptr(la_index(sel_lanes_[r], k));
-      std::copy(src, src + hl_dim, sel_obs_.row_ptr(r));
-    }
-    if (opp_dim > 0) {
-      if (high_cfg_.use_opponent_model) {
-        agents_[static_cast<std::size_t>(k)]->opponents().predict_all_rows(
-            sel_obs_, sel_blocks_);
-      } else {
-        sel_blocks_.resize(m, opp_dim);
-        sel_blocks_.fill(1.0 / kNumOptions);
-      }
-    }
-    sel_in_.resize(m, hl_dim + opp_dim);
-    for (std::size_t r = 0; r < m; ++r) {
-      double* row = sel_in_.row_ptr(r);
-      const double* src = sel_obs_.row_ptr(r);
-      std::copy(src, src + hl_dim, row);
-      for (std::size_t c = 0; c < opp_dim; ++c) row[hl_dim + c] = sel_blocks_(r, c);
-    }
-    agents_[static_cast<std::size_t>(k)]->high_level().option_probs_rows(sel_in_,
-                                                                         sel_probs_);
-
-    for (std::size_t r = 0; r < m; ++r) {
-      const std::size_t lane = sel_lanes_[r];
-      const std::size_t idx = la_index(lane, k);
-      LaneAgent& la = lane_agents_[idx];
-      const int vi = world_.learners()[static_cast<std::size_t>(k)];
-      ++la.selections;
-      const int opt = HighLevelAgent::select_from_probs(
-          high_cfg_, sel_probs_.row_ptr(r), la.selections, sched_.rng(lane),
-          /*explore=*/true);
-
-      la.exec = OptionExecution{};
-      la.exec.option = option_from_index(opt);
-      const int cur_lane = world_.lane(static_cast<int>(lane), vi);
-      la.exec.target_lane = la.exec.option == Option::kLaneChange
-                                ? world_.track().num_lanes() - 1 - cur_lane
-                                : cur_lane;
-      la.exec.hold_speed = world_.state(static_cast<int>(lane), vi).speed;
-      options_[idx] = opt;
-
-      const double* obs_row = hl_obs_.row_ptr(idx);
-      la.pend_obs.assign(obs_row, obs_row + hl_dim);
-      la.pend_opp_actual.assign(opp_dim, 0.0);
-      std::size_t slot = 0;
-      for (int j = 0; j < n_; ++j) {
-        if (j == k) continue;
-        la.pend_opp_actual[slot * kNumOptions +
-                           static_cast<std::size_t>(options_[la_index(lane, j)])] =
-            1.0;
-        ++slot;
-      }
-      la.pend_option = opt;
-      la.pend_reward = 0.0;
-      la.pend_discount = 1.0;
-      la.has_pending = true;
-      if (opp_dim > 0) {
-        la.opp_cache.assign(sel_blocks_.row_ptr(r),
-                            sel_blocks_.row_ptr(r) + opp_dim);
-      }
-    }
-  }
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    if (sched_.active(lane)) started_[lane] = 1;
-  }
-  }  // OBS_PHASE("select")
-
-  // (5) Skill commands. Keep-lane is closed-form; the learned options run
-  // option-major so each SAC policy does one batched forward over every lane
-  // currently holding it, with the squashing draws routed to the owning
-  // lane's stream (act_rows_into).
-  {
-  OBS_PHASE("skills");
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    if (!sched_.active(lane)) continue;
-    for (int k = 0; k < n_; ++k) {
-      LaneAgent& la = lane_agents_[la_index(lane, k)];
-      if (la.exec.option == Option::kKeepLane) {
-        cmds_[la_index(lane, k)] = {la.exec.hold_speed, 0.0};
-      }
-      ++la.exec.steps;  // one step_all follows
-    }
-  }
-  for (int oi = 0; oi < kNumOptions; ++oi) {
-    const Option o = option_from_index(oi);
-    if (!skills_.has_agent(o)) continue;
-    sk_rows_.clear();
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      if (!sched_.active(lane)) continue;
-      for (int k = 0; k < n_; ++k) {
-        if (lane_agents_[la_index(lane, k)].exec.option == o) {
-          sk_rows_.push_back({lane, k});
-        }
-      }
-    }
-    if (sk_rows_.empty()) continue;
-    const std::size_t m = sk_rows_.size();
-    sk_obs_.resize(m, ll_dim);
-    sk_rngs_.resize(m);
-    for (std::size_t r = 0; r < m; ++r) {
-      const auto [lane, k] = sk_rows_[r];
-      const LaneAgent& la = lane_agents_[la_index(lane, k)];
-      const int vi = world_.learners()[static_cast<std::size_t>(k)];
-      const int ref_lane = o == Option::kLaneChange
-                               ? la.exec.target_lane
-                               : world_.lane(static_cast<int>(lane), vi);
-      world_.low_level_obs_into(static_cast<int>(lane), vi, ref_lane,
-                                sk_obs_.row_ptr(r));
-      sk_rngs_[r] = &sched_.rng(lane);
-    }
-    skills_.agent(o).policy().act_rows_into(sk_obs_, sk_rngs_.data(),
-                                            /*deterministic=*/false, sk_act_);
-    for (std::size_t r = 0; r < m; ++r) {
-      const auto [lane, k] = sk_rows_[r];
-      const LaneAgent& la = lane_agents_[la_index(lane, k)];
-      const int vi = world_.learners()[static_cast<std::size_t>(k)];
-      const auto st = world_.state(static_cast<int>(lane), vi);
-      cmds_[la_index(lane, k)] = skills_.to_twist_core(
-          la.exec, world_.track(), world_.config().dt, st.y, st.heading,
-          sk_act_.row_ptr(r), sk_act_.cols());
-    }
-  }
-  }  // OBS_PHASE("skills")
-
-  // (6) One synchronized world step across every live lane (the sim_step
+  // (4) One synchronized world step across every live lane (the sim_step
   // phase is recorded inside step_all).
   world_.step_all(cmds_.data(), sched_.rng_ptrs(), sched_.active_mask(),
                   step_out_);
   ++round_batch_steps_;
 
   OBS_PHASE("accumulate");
-  // (7) Reward accumulation: team mean into the episode stats, per-agent
-  // discounted accumulation into the pending semi-MDP transitions.
+  // (5) Semi-MDP bookkeeping: this tick's selections close and open option
+  // transitions, then the step's rewards go to the team mean of the episode
+  // stats and, discounted, into every pending transition.
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     if (!sched_.active(lane)) continue;
+    record_selections(lane);
     BatchedEpisode& ep = episodes_[lane];
     double sum = 0.0;
     for (int k = 0; k < n_; ++k) {
@@ -374,7 +245,7 @@ void BatchedRollout::step_once(bool observing) {
     if (step_out_.collision[lane] != 0) ep.stats.collision = true;
   }
 
-  // (8) Retire finished lanes (terminal obs, final labels, done stores).
+  // (6) Retire finished lanes (terminal obs, final labels, done stores).
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     if (sched_.active(lane) && step_out_.done[lane] != 0) {
       finish_lane(lane, observing);

@@ -5,9 +5,12 @@
 // (docs/BATCHING.md). HeroTrainer::train collects only through this class;
 // width 1 is one episode at a time.
 //
-// Each lane (environment slot) runs the semi-MDP bookkeeping for its n
-// agents: β_o termination tests, discounted reward accumulation into the
-// pending option transition, and opponent labels every step. Draws come
+// Each step extracts every live lane into one rl::ObsBatch slot and acts
+// through HeroActEngine with explore on — the same action path evaluation
+// and serving use — with one HeroSession per lane. What the rollout adds is
+// what only training needs: the pending semi-MDP transitions (opened and
+// closed where the engine selected), discounted reward accumulation, the
+// opponent labels of every step and the prediction scoreboard. Draws come
 // from the counter-based episode stream stream_rng(root, episode), so a run
 // is bitwise reproducible for a fixed (seed, batch_envs) pair. Collected
 // experience is staged per lane and merged by the trainer in lane order —
@@ -24,7 +27,7 @@
 #include <memory>
 #include <vector>
 
-#include "hero/hero_agent.h"
+#include "hero/act_engine.h"
 #include "rl/evaluation.h"
 #include "runtime/batch_rollout.h"
 #include "sim/batch_lane_world.h"
@@ -55,8 +58,6 @@ class BatchedRollout {
                  const TerminationConfig& term, SkillBank& skills,
                  std::vector<std::unique_ptr<HeroAgent>>& agents, int num_envs);
 
-  int num_envs() const { return E_; }
-
   // Runs episodes [first, first + count) to completion (count ≤ num_envs).
   // `observing` enables the opponent-prediction scoreboard (metrics or
   // telemetry on). Results are readable via episode(i) until the next round.
@@ -74,22 +75,19 @@ class BatchedRollout {
   // (standard vectorized-RL semantics).
   long round_batch_steps() const { return round_batch_steps_; }
 
-  sim::BatchLaneWorld& world() { return world_; }
-
  private:
-  // Per-(lane, agent) episode bookkeeping: the option being executed, the
-  // pending semi-MDP transition it will close, and the opponent prediction
-  // cached at its selection.
+  // Per-(lane, agent) training bookkeeping: the pending semi-MDP transition
+  // the agent's current option will close, and the opponent block that
+  // option's selection conditioned on (scored against every step's labels
+  // while the option runs).
   struct LaneAgent {
-    OptionExecution exec;
     bool has_pending = false;
     std::vector<double> pend_obs;
     std::vector<double> pend_opp_actual;
     int pend_option = 0;
     double pend_reward = 0.0;
     double pend_discount = 1.0;
-    long selections = 0;             // local ε-schedule position
-    std::vector<double> opp_cache;   // predicted block at last selection
+    std::vector<double> opp_cache;
   };
 
   std::size_t la_index(std::size_t lane, int k) const {
@@ -99,9 +97,12 @@ class BatchedRollout {
   void begin_lane(std::size_t lane);
   void step_once(bool observing);
   // Stages the opponent labels implied by the obs row of (lane, k) and the
-  // options currently on the board; scores the cached predictions.
+  // options held during the step just taken; scores the cached predictions.
   void stage_opp_labels(std::size_t lane, int k, const double* obs_row,
                         bool observing);
+  // Turns the engine's selections in `lane` this tick into transitions: a
+  // re-selection closes the pending one, every selection opens a new one.
+  void record_selections(std::size_t lane);
   void finish_lane(std::size_t lane, bool observing);
 
   sim::Scenario scenario_;
@@ -116,21 +117,16 @@ class BatchedRollout {
   runtime::BatchRoundScheduler sched_;
   long round_batch_steps_ = 0;
 
+  HeroActEngine engine_;
+  rl::ObsBatch batch_;                     // slot = lane
+  std::vector<HeroSession> sessions_;      // per lane
+  std::vector<HeroSession*> session_ptrs_;
+
   std::vector<BatchedEpisode> episodes_;   // lane-indexed
   std::vector<LaneAgent> lane_agents_;     // lane-major (la_index)
-  std::vector<int> options_;               // lane-major current options
-  std::vector<std::uint8_t> started_;      // per lane: initial selection done
-  std::vector<std::uint8_t> needs_select_; // lane-major, per batch step
+  std::vector<int> options_;               // lane-major: held during the last step
   std::vector<sim::TwistCmd> cmds_;        // lane-major learner commands
   sim::BatchStepResult step_out_;
-
-  // Batched-forward staging (resized in place, reused across steps).
-  nn::Matrix hl_obs_;                      // (E·n) × high_level_obs_dim
-  std::vector<std::size_t> sel_lanes_;     // lanes selecting for one agent
-  nn::Matrix sel_obs_, sel_blocks_, sel_in_, sel_probs_;
-  std::vector<std::pair<std::size_t, int>> sk_rows_;  // (lane, k) per option
-  nn::Matrix sk_obs_, sk_act_;
-  std::vector<Rng*> sk_rngs_;
 };
 
 }  // namespace hero::core

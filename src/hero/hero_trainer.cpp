@@ -20,8 +20,7 @@ HeroTrainer::HeroTrainer(const sim::Scenario& scenario, const HeroConfig& cfg,
   const int n = world_.num_learners();
   for (int k = 0; k < n; ++k) {
     agents_.push_back(std::make_unique<HeroAgent>(
-        world_.high_level_obs_dim(), n - 1, cfg_.high, cfg_.opponent,
-        cfg_.skill.termination, rng));
+        world_.high_level_obs_dim(), n - 1, cfg_.high, cfg_.opponent, rng));
   }
 }
 
@@ -85,42 +84,6 @@ void HeroTrainer::load(const std::string& dir) {
     }
     agent.opponents().mark_trained();
   }
-}
-
-void HeroTrainer::begin_episode(const sim::LaneWorld& world) {
-  (void)world;
-  episode_started_ = false;
-  for (auto& a : agents_) a->reset_episode();
-}
-
-std::vector<sim::TwistCmd> HeroTrainer::act(const sim::LaneWorld& world, Rng& rng,
-                                            bool explore) {
-  OBS_PHASE("act");
-  const int n = static_cast<int>(agents_.size());
-  HERO_CHECK_MSG(world.num_learners() == n,
-                 "world has " << world.num_learners() << " learners, trainer has " << n);
-
-  for (int k = 0; k < n; ++k) {
-    const int vi = world.learners()[static_cast<std::size_t>(k)];
-    auto& agent = *agents_[static_cast<std::size_t>(k)];
-    if (!episode_started_) {
-      agent.select_initial(world, vi, rng, explore);
-    } else {
-      agent.maybe_reselect(world, vi, rng, explore);
-    }
-  }
-  episode_started_ = true;
-
-  std::vector<sim::TwistCmd> cmds;
-  cmds.reserve(static_cast<std::size_t>(n));
-  for (int k = 0; k < n; ++k) {
-    const int vi = world.learners()[static_cast<std::size_t>(k)];
-    auto& exec = agents_[static_cast<std::size_t>(k)]->execution();
-    cmds.push_back(skills_.execute(exec, world, vi, rng,
-                                   /*deterministic=*/!explore));
-    ++exec.steps;  // one world.step() follows each act() by contract
-  }
-  return cmds;
 }
 
 void HeroTrainer::act_rows_into(const rl::ObsBatch& batch, Rng* const* rngs,

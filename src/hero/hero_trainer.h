@@ -59,17 +59,14 @@ class HeroTrainer : public rl::Controller {
   void train(int episodes, Rng& rng, const algos::EpisodeHook& hook = {});
 
   // --- rl::Controller (deployment / evaluation) ---
-  void begin_episode(const sim::LaneWorld& world) override;
-  std::vector<sim::TwistCmd> act(const sim::LaneWorld& world, Rng& rng,
-                                 bool explore) override;
-  // Batch-first deployment: one fused HeroActEngine pass over all active
-  // slots (three batched network stages total instead of 3·B·n single-row
-  // forwards). Slot s's semi-MDP state lives in an internal per-slot
+  // One fused HeroActEngine pass over all active slots (three batched
+  // network stages total instead of 3·B·n single-row forwards); act() is
+  // this call on a batch of one. Slot s's option state lives in an internal
   // HeroSession keyed by slot index, reset via the batch's reset flags — the
-  // Controller contract's "slot index is session identity". Greedy commands
-  // are bitwise-identical to the scalar act() path (see test_serve.cpp);
-  // explore mode is deterministic too but keys its draw order on the fused
-  // schedule, like the batch_envs training path.
+  // Controller contract's "slot index is session identity". Sessions count
+  // their own ε-schedule position, so evaluation never moves the learners'.
+  // Greedy commands equal the scalar rule in tests/support/hero_oracle.h
+  // bit for bit (ServingEquivalence.ServedMatchesInProcessGreedy).
   void act_rows_into(const rl::ObsBatch& batch, Rng* const* rngs, bool explore,
                      sim::TwistCmd* cmds_out) override;
 
@@ -114,7 +111,6 @@ class HeroTrainer : public rl::Controller {
   sim::LaneWorld world_;
   SkillBank skills_;
   std::vector<std::unique_ptr<HeroAgent>> agents_;
-  bool episode_started_ = false;
   long total_steps_ = 0;
 
   std::unique_ptr<runtime::ThreadPool> pool_;  // stage-1 skill pool (lazy)

@@ -59,17 +59,6 @@ int HighLevelAgent::select_from_probs(const HighLevelConfig& cfg,
   return best;
 }
 
-int HighLevelAgent::select_option(const std::vector<double>& obs,
-                                  const std::vector<double>& opp_block, Rng& rng,
-                                  bool explore) {
-  ++selections_;
-  // option_probs is draw-free, so evaluating it before the ε draw leaves the
-  // RNG stream identical to drawing ε first (the batched path precomputes
-  // probabilities for a whole round the same way).
-  auto p = option_probs(obs, opp_block);
-  return select_from_probs(cfg_, p.data(), selections_, rng, explore);
-}
-
 HighLevelUpdateStats HighLevelAgent::update(OpponentModel& opponents, Rng& rng) {
   if (!buffer_.ready(std::max(cfg_.batch, cfg_.warmup_transitions))) return {};
   HighLevelUpdateStats stats;

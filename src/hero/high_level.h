@@ -73,25 +73,20 @@ class HighLevelAgent {
   HighLevelAgent(std::size_t obs_dim, int num_opponents, const HighLevelConfig& cfg,
                  Rng& rng);
 
-  // Option selection given the opponent block (predicted distributions, or
-  // uniform under the ablation). `explore` enables sampling + ε-greedy.
-  int select_option(const std::vector<double>& obs,
-                    const std::vector<double>& opp_block, Rng& rng, bool explore);
-
-  // Current policy distribution (used by peers' opponent-model analysis and
-  // by tests).
+  // Current policy distribution for one observation and opponent block
+  // (the single-row form of option_probs_rows; analysis tools and tests).
   std::vector<double> option_probs(const std::vector<double>& obs,
                                    const std::vector<double>& opp_block);
 
   // Batched actor evaluation: row b of `in` is [s_h | opp block]; writes the
-  // row-wise softmax policy into `probs` (batched rollout path).
+  // row-wise softmax policy into `probs` (HeroActEngine's selection stage).
   void option_probs_rows(const nn::Matrix& in, nn::Matrix& probs);
 
-  // The ε-greedy-plus-categorical selection draw from a precomputed policy
-  // row of kNumOptions probabilities. `selection_count` is the ε-schedule
-  // position *including* this selection. select_option delegates here, so a
-  // batched caller that evaluates probabilities as one batch=E forward and
-  // then draws per-stream consumes exactly the serial per-stream draws.
+  // Option selection from a precomputed policy row of kNumOptions
+  // probabilities: with `explore`, the ε-greedy-plus-categorical draw, at
+  // ε-schedule position `selection_count` (including this selection);
+  // without, the draw-free argmax (first maximum). HeroActEngine evaluates
+  // the probabilities as one batched forward and then draws per stream.
   static int select_from_probs(const HighLevelConfig& cfg, const double* probs,
                                long selection_count, Rng& rng, bool explore);
 
@@ -104,10 +99,11 @@ class HighLevelAgent {
 
   nn::Mlp& critic() { return critic_; }
   nn::CategoricalPolicy& actor() { return actor_; }
+  // The ε-schedule position: option selections made in training so far.
   long selections() const { return selections_; }
   // Overwrites the ε-schedule position — the trainer's merge advances it by
   // each episode's selections (BatchedRollout explores from the round-start
-  // position).
+  // position). Acting never moves it (HeroSession counts on its own).
   void set_selections(long n) { selections_ = n; }
 
  private:

@@ -74,15 +74,6 @@ sim::TwistCmd SkillBank::to_twist_core(const OptionExecution& exec,
   return {action[0], w};
 }
 
-sim::TwistCmd SkillBank::execute(const OptionExecution& exec,
-                                 const sim::LaneWorld& world, int vehicle, Rng& rng,
-                                 bool deterministic) {
-  if (exec.option == Option::kKeepLane) return to_twist(exec, world, vehicle, {});
-  const auto obs = skill_obs(exec, world, vehicle);
-  return to_twist(exec, world, vehicle,
-                  policy_action(exec.option, obs, rng, deterministic));
-}
-
 std::vector<double> SkillBank::train_skill(
     Option o, sim::LaneWorld& world, int episodes, Rng& rng,
     const std::function<void(int, double)>& hook) {

@@ -49,16 +49,12 @@ class SkillBank {
   sim::TwistCmd to_twist(const OptionExecution& exec, const sim::LaneWorld& world,
                          int vehicle, const std::vector<double>& action) const;
 
-  // The pure steering-law core over scalar ego state — shared with the
-  // batched rollout, which reads (y, heading) from the SoA world. to_twist
-  // delegates here, so batched and serial commands are identical.
+  // The pure steering-law core over scalar ego state — what HeroActEngine
+  // applies to the ObsBatch's ego scalars. to_twist delegates here, so
+  // stage-1 training and deployment share one steering law.
   sim::TwistCmd to_twist_core(const OptionExecution& exec, const sim::Track& track,
                               double dt, double y, double heading,
                               const double* action, std::size_t action_n) const;
-
-  // Convenience: obs → action → twist in one call (deployment path).
-  sim::TwistCmd execute(const OptionExecution& exec, const sim::LaneWorld& world,
-                        int vehicle, Rng& rng, bool deterministic);
 
   bool has_agent(Option o) const { return o != Option::kKeepLane; }
   algos::SacAgent& agent(Option o);

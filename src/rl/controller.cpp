@@ -1,32 +1,19 @@
 #include "rl/controller.h"
 
-#include "common/check.h"
-
 namespace hero::rl {
 
-void Controller::act_rows_into(const ObsBatch& batch, Rng* const* rngs,
-                               bool explore, sim::TwistCmd* cmds_out) {
-  act_rows_fallback(batch, rngs, explore, cmds_out);
-}
-
-void Controller::act_rows_fallback(const ObsBatch& batch, Rng* const* rngs,
-                                   bool explore, sim::TwistCmd* cmds_out) {
-  const int n = batch.num_learners();
-  for (std::size_t s = 0; s < batch.count(); ++s) {
-    const ObsBatch::SlotMeta& m = batch.slot(s);
-    if (!m.active) continue;
-    HERO_CHECK_MSG(m.world != nullptr,
-                   "default act_rows_into needs per-slot worlds "
-                   "(set_slot_from_world); decoded batches require a batched "
-                   "controller override");
-    if (m.reset) begin_episode(*m.world);
-    const auto cmds = act(*m.world, *rngs[s], explore);
-    HERO_CHECK(static_cast<int>(cmds.size()) == n);
-    for (int k = 0; k < n; ++k) {
-      cmds_out[s * static_cast<std::size_t>(n) + static_cast<std::size_t>(k)] =
-          cmds[static_cast<std::size_t>(k)];
-    }
-  }
+std::vector<sim::TwistCmd> Controller::act(const sim::LaneWorld& world, Rng& rng,
+                                           bool explore) {
+  const int n = world.num_learners();
+  one_.configure(n, world.high_level_obs_dim(), world.low_level_obs_dim(),
+                 world.track().num_lanes());
+  one_.set_count(1);
+  one_.set_slot_from_world(0, world.batch_world(), 0, reset_next_, &rng);
+  reset_next_ = false;
+  std::vector<sim::TwistCmd> cmds(static_cast<std::size_t>(n));
+  Rng* const rngs[] = {&rng};
+  act_rows_into(one_, rngs, explore, cmds.data());
+  return cmds;
 }
 
 }  // namespace hero::rl

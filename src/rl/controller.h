@@ -3,17 +3,15 @@
 // vehicle. A single evaluation harness (rl/evaluation.h) then scores any
 // method identically — this is what the Fig. 7/11 and Table II benches use.
 //
-// Two entry points:
-//
-//   * act() — the scalar path: one live world, one command vector. The
-//     historical interface; training loops and single-episode evaluation
-//     keep using it unchanged.
-//   * act_rows_into() — the batch-first path: many environment slots in one
-//     ObsBatch, one fused pass. This is what batched evaluation
-//     (rl::evaluate_batch) and the policy server (src/serve) consume; HERO
-//     and all four baselines override it with genuinely batched network
-//     evaluation, so cross-slot batching costs one forward per network
-//     instead of one per slot.
+// One action entry point, act_rows_into(): many environment slots in one
+// ObsBatch, one fused pass. Batched evaluation (rl::evaluate_batch) and the
+// policy server (src/serve) call it directly, and HERO and all four
+// baselines implement it with genuinely batched network evaluation, so
+// cross-slot batching costs one forward per network instead of one per slot.
+// act() is its batch of one, just as sim::LaneWorld is a one-env view of
+// sim::BatchLaneWorld: it extracts the live world into a one-slot ObsBatch
+// and makes one act_rows_into call, so a scalar path and a batched path
+// cannot drift apart.
 #pragma once
 
 #include <vector>
@@ -28,14 +26,15 @@ class Controller {
  public:
   virtual ~Controller() = default;
 
-  // Called once per episode right after world.reset(); controllers reset
-  // per-episode state here (current options, noise processes, ...).
-  virtual void begin_episode(const sim::LaneWorld& world) { (void)world; }
+  // Call once per episode, right after world.reset(): the next act() marks
+  // its slot as a fresh episode (ObsBatch::SlotMeta::reset), so controllers
+  // with per-episode state (HERO's option executions) start over.
+  void begin_episode() { reset_next_ = true; }
 
-  // One command per learner, in world.learners() order. `explore` selects
-  // stochastic (training) vs greedy (evaluation) action selection.
-  virtual std::vector<sim::TwistCmd> act(const sim::LaneWorld& world, Rng& rng,
-                                         bool explore) = 0;
+  // One command per learner, in world.learners() order: act_rows_into over a
+  // one-slot batch extracted from `world`. `rng` is that slot's stream, for
+  // the sensors' noise and (with `explore`) the controller's draws.
+  std::vector<sim::TwistCmd> act(const sim::LaneWorld& world, Rng& rng, bool explore);
 
   // Batch-first action selection over `batch.count()` environment slots.
   //
@@ -51,20 +50,12 @@ class Controller {
   //   * Slot indices are session identities: controllers that carry
   //     per-episode state (HERO's option executions) key it by slot, and
   //     slot(s).reset marks the start of a fresh episode for that slot.
-  //
-  // The default implementation loops the scalar act() through the per-slot
-  // world pointers (set_slot_from_world producers only) — correct for
-  // stateless controllers at any width and for any controller at width 1;
-  // stateful controllers override it with a real per-slot path.
   virtual void act_rows_into(const ObsBatch& batch, Rng* const* rngs, bool explore,
-                             sim::TwistCmd* cmds_out);
+                             sim::TwistCmd* cmds_out) = 0;
 
  private:
-  // The scalar-looping fallback behind the default act_rows_into (kept out
-  // of the *_into body: this path allocates by design — it is a
-  // compatibility shim, not a hot path).
-  void act_rows_fallback(const ObsBatch& batch, Rng* const* rngs, bool explore,
-                         sim::TwistCmd* cmds_out);
+  ObsBatch one_;  // act()'s one-slot batch, reused across calls
+  bool reset_next_ = true;
 };
 
 }  // namespace hero::rl

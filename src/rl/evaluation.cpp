@@ -13,7 +13,7 @@ EpisodeStats run_episode(sim::LaneWorld& world, Controller& controller, Rng& rng
                          bool explore, int merger_index, int merger_target_lane) {
   OBS_PHASE("eval_episode");
   world.reset(rng);
-  controller.begin_episode(world);
+  controller.begin_episode();
 
   EpisodeStats stats;
   while (!world.done()) {
@@ -97,7 +97,8 @@ EvalSummary evaluate_batch(const sim::LaneWorldConfig& world_cfg,
     for (std::size_t i = 0; i < count; ++i) {
       worlds[i]->reset(sched.rng(i));
       stats[i] = EpisodeStats{};
-      obs.set_slot_from_world(i, *worlds[i], /*reset=*/true);
+      obs.set_slot_from_world(i, worlds[i]->batch_world(), 0, /*reset=*/true,
+                              &sched.rng(i));
     }
     bool fresh = true;
     while (sched.live() > 0) {
@@ -107,7 +108,8 @@ EvalSummary evaluate_batch(const sim::LaneWorldConfig& world_cfg,
             obs.slot(i).active = false;
             continue;
           }
-          obs.set_slot_from_world(i, *worlds[i], /*reset=*/false);
+          obs.set_slot_from_world(i, worlds[i]->batch_world(), 0, /*reset=*/false,
+                                  &sched.rng(i));
         }
       }
       fresh = false;

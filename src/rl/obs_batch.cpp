@@ -1,7 +1,5 @@
 #include "rl/obs_batch.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace hero::rl {
@@ -38,8 +36,8 @@ const double* ObsBatch::ll_row(std::size_t s, int k, int reference_lane) const {
                      static_cast<std::size_t>(reference_lane));
 }
 
-void ObsBatch::set_slot_from_world(std::size_t s, const sim::LaneWorld& world,
-                                   bool reset) {
+void ObsBatch::set_slot_from_world(std::size_t s, const sim::BatchLaneWorld& world,
+                                   int e, bool reset, Rng* noise_rng) {
   HERO_CHECK_MSG(world.num_learners() == n_,
                  "world has " << world.num_learners() << " learners, batch expects "
                               << n_);
@@ -47,25 +45,21 @@ void ObsBatch::set_slot_from_world(std::size_t s, const sim::LaneWorld& world,
              world.low_level_obs_dim() == ll_dim_ &&
              world.track().num_lanes() == num_lanes_);
   SlotMeta& m = metas_[s];
-  m.world = &world;
   m.track = &world.track();
   m.dt = world.config().dt;
   m.reset = reset;
   m.active = true;
   for (int k = 0; k < n_; ++k) {
     const int vi = world.learners()[static_cast<std::size_t>(k)];
-    const sim::VehicleState st = world.state(vi);
+    const sim::VehicleState st = world.state(e, vi);
     AgentScalars& sc = scalars(s, k);
     sc.y = st.y;
     sc.heading = st.heading;
     sc.speed = st.speed;
-    sc.lane = world.lane(vi);
-
-    const auto hl = world.high_level_obs(vi);
-    std::copy(hl.begin(), hl.end(), hl_row(s, k));
+    sc.lane = world.lane(e, vi);
+    world.high_level_obs_into(e, vi, hl_row(s, k), noise_rng);
     for (int lane = 0; lane < num_lanes_; ++lane) {
-      const auto ll = world.low_level_obs(vi, lane);
-      std::copy(ll.begin(), ll.end(), ll_row(s, k, lane));
+      world.low_level_obs_into(e, vi, lane, ll_row(s, k, lane), noise_rng);
     }
   }
 }

@@ -3,7 +3,7 @@
 //
 // One batch holds `count` environment slots × `num_learners` agents of
 // extracted features — everything a controller needs to act without touching
-// a live sim::LaneWorld:
+// a live world:
 //
 //   * per (slot, agent): the ego scalars (y, heading, speed, lane), the
 //     high-level observation row, and one low-level observation row per
@@ -14,28 +14,28 @@
 //     drivers can retire finished slots without renumbering the survivors
 //     (slot index is a session identity — see Controller::act_rows_into).
 //
-// Two producers fill it: set_slot_from_world() extracts from a live world
-// (the in-process evaluation path), and the serving layer decodes client
-// request frames straight into the rows (src/serve/protocol.h). Either way
-// the consuming controller sees the same layout, which is what makes the
-// served answers testable against the in-process ones.
+// Two producers fill it. set_slot_from_world() is the one extraction from a
+// live world: HERO's stage-2 rollout (env e of its BatchLaneWorld),
+// Controller::act's batch of one and rl::evaluate_batch (the one env of a
+// LaneWorld) all go through it. The serving layer decodes client request
+// frames straight into the rows (src/serve/protocol.h). Either way the
+// consuming controller sees the same layout, which is what makes the served
+// answers testable against the in-process ones.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
+#include "common/rng.h"
 #include "nn/matrix.h"
-#include "sim/lane_world.h"
+#include "sim/batch_lane_world.h"
 
 namespace hero::rl {
 
 class ObsBatch {
  public:
-  // Per-slot metadata. `world` is set only by set_slot_from_world and lets
-  // the default scalar-looping Controller::act_rows_into work; controllers
-  // with a real batched path must not rely on it.
+  // Per-slot metadata.
   struct SlotMeta {
-    const sim::LaneWorld* world = nullptr;
     const sim::Track* track = nullptr;
     double dt = 0.0;
     bool reset = false;
@@ -57,7 +57,7 @@ class ObsBatch {
                  int num_lanes);
   // Sets the number of slots for this tick (storage grows in place and is
   // reused across ticks). Resets every slot's meta to {reset=false,
-  // active=true, world=nullptr}; feature rows keep their previous contents
+  // active=true, track=nullptr}; feature rows keep their previous contents
   // until overwritten.
   void set_count(std::size_t count);
 
@@ -84,9 +84,14 @@ class ObsBatch {
   double* ll_row(std::size_t s, int k, int reference_lane);
   const double* ll_row(std::size_t s, int k, int reference_lane) const;
 
-  // Extracts slot `s` from a live world (configure must match the world's
-  // dims). `reset` marks the slot as a fresh episode for the controller.
-  void set_slot_from_world(std::size_t s, const sim::LaneWorld& world, bool reset);
+  // Extracts env `e` of `world` into slot `s` (configure must match the
+  // world's dims), writing every row in place. `reset` marks the slot as a
+  // fresh episode for the controller. `noise_rng` is the slot's stream: the
+  // sensors' noise (the Table II shift) is drawn from it, per agent the
+  // high-level row first and then the low-level rows in lane order; at zero
+  // noise nothing is drawn.
+  void set_slot_from_world(std::size_t s, const sim::BatchLaneWorld& world, int e,
+                           bool reset, Rng* noise_rng);
 
  private:
   std::size_t agent_index(std::size_t s, int k) const {

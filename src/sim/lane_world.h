@@ -56,6 +56,10 @@ class LaneWorld {
     world_.low_level_obs_into(0, vehicle, reference_lane, out, noise_rng);
   }
 
+  // The engine behind this view; the environment is its env 0. Batch-first
+  // extraction (rl::ObsBatch::set_slot_from_world) reads it.
+  const BatchLaneWorld& batch_world() const { return world_; }
+
   // --- inspection ---
   VehicleState state(int i) const { return world_.state(0, i); }
   // Skill-training wrappers perturb start states (lateral offset / heading

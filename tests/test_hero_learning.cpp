@@ -6,6 +6,7 @@
 #include <cmath>
 #include <memory>
 
+#include "hero/act_engine.h"
 #include "hero/batched_rollout.h"
 #include "hero/hero_agent.h"
 #include "sim/scenario.h"
@@ -111,7 +112,9 @@ TEST(HighLevelAgent, SelectsValidOptions) {
   std::vector<double> obs = {0.1, 0.2, 0.3, 0.4};
   std::vector<double> block(2 * kNumOptions, 0.25);
   for (int i = 0; i < 50; ++i) {
-    int o = agent.select_option(obs, block, rng, /*explore=*/true);
+    const auto probs = agent.option_probs(obs, block);
+    const int o = HighLevelAgent::select_from_probs(fast_high(), probs.data(), i + 1,
+                                                    rng, /*explore=*/true);
     EXPECT_GE(o, 0);
     EXPECT_LT(o, kNumOptions);
   }
@@ -125,7 +128,8 @@ TEST(HighLevelAgent, GreedyIsArgmaxOfProbs) {
   std::vector<double> obs = {0.5, -0.5, 0.1, 0.0};
   std::vector<double> block(kNumOptions, 0.25);
   auto probs = agent.option_probs(obs, block);
-  int greedy = agent.select_option(obs, block, rng, /*explore=*/false);
+  int greedy = HighLevelAgent::select_from_probs(cfg, probs.data(), 1, rng,
+                                                 /*explore=*/false);
   EXPECT_EQ(greedy, static_cast<int>(std::max_element(probs.begin(), probs.end()) -
                                      probs.begin()));
 }
@@ -172,7 +176,9 @@ TEST(HighLevelAgent, CriticLearnsOptionValues) {
     agent.store({obs, block, o, o == 2 ? 1.0 : -1.0, 0.95, obs, /*done=*/true});
     agent.update(opp, rng);
   }
-  EXPECT_EQ(agent.select_option(obs, block, rng, /*explore=*/false), 2);
+  EXPECT_EQ(HighLevelAgent::select_from_probs(cfg, agent.option_probs(obs, block).data(),
+                                              1, rng, /*explore=*/false),
+            2);
 }
 
 TEST(HighLevelAgent, MaxBootstrapPropagatesValueAgainstThePolicy) {
@@ -223,16 +229,36 @@ TEST(HeroAgent, LaneChangeTargetsOtherLane) {
   Rng rng(14);
   auto world = coop_world();
   world.reset(rng);
-  HeroAgent agent(world.high_level_obs_dim(), 2, fast_high(), OpponentModelConfig{},
-                  TerminationConfig{}, rng);
+  const int n = world.num_learners();
+  const SkillConfig skill;
+  SkillBank skills(world.low_level_obs_dim(), skill, rng);
+  std::vector<std::unique_ptr<HeroAgent>> agents;
+  for (int k = 0; k < n; ++k) {
+    agents.push_back(std::make_unique<HeroAgent>(world.high_level_obs_dim(), n - 1,
+                                                 fast_high(), OpponentModelConfig{},
+                                                 rng));
+  }
+  rl::ObsBatch batch;
+  batch.configure(n, world.high_level_obs_dim(), world.low_level_obs_dim(),
+                  world.track().num_lanes());
+  batch.set_count(1);
+  // A reset slot: every act_rows() call below is an initial selection.
+  batch.set_slot_from_world(0, world.batch_world(), 0, /*reset=*/true, &rng);
+  HeroActEngine engine;
+  HeroSession session;
+  HeroSession* sessions[] = {&session};
+  Rng* rngs[] = {&rng};
+  std::vector<sim::TwistCmd> cmds(static_cast<std::size_t>(n));
   // Force a lane-change selection by trying until it happens (ε start 0.5).
   bool saw_change = false;
   for (int i = 0; i < 200 && !saw_change; ++i) {
-    agent.select_initial(world, 1, rng, true);
-    if (agent.execution().option == Option::kLaneChange) {
+    engine.act_rows(skills, agents, fast_high(), skill.termination, batch, sessions,
+                    rngs, /*explore=*/true, cmds.data());
+    const OptionExecution& exec = session.agents[1].exec;
+    if (exec.option == Option::kLaneChange) {
       saw_change = true;
       // Vehicle 1 (the merger) starts in lane 0 → target must be lane 1.
-      EXPECT_EQ(agent.execution().target_lane, 1);
+      EXPECT_EQ(exec.target_lane, 1);
     }
   }
   EXPECT_TRUE(saw_change);
@@ -260,8 +286,7 @@ class CollectedRound {
     n_ = world.num_learners();
     for (int k = 0; k < n_; ++k) {
       agents_.push_back(std::make_unique<HeroAgent>(world.high_level_obs_dim(), n_ - 1,
-                                                    high, OpponentModelConfig{},
-                                                    skill.termination, rng));
+                                                    high, OpponentModelConfig{}, rng));
     }
     rollout_ = std::make_unique<BatchedRollout>(sc_, high, skill.termination, *skills_,
                                                 agents_, static_cast<int>(kLanes));

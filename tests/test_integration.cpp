@@ -77,7 +77,7 @@ TEST(HeroPipeline, ControllerProducesValidCommands) {
 
   sim::LaneWorld world(sc.config);
   world.reset(rng);
-  trainer.begin_episode(world);
+  trainer.begin_episode();
   while (!world.done()) {
     auto cmds = trainer.act(world, rng, /*explore=*/false);
     ASSERT_EQ(cmds.size(), 3u);
@@ -97,10 +97,21 @@ TEST(HeroPipeline, EvaluationDoesNotPolluteReplay) {
   trainer.train_skills(10, rng);
   trainer.train(5, rng);
   const std::size_t buffered = trainer.agent(0).high_level().buffered();
+  std::vector<long> selections;
+  for (int k = 0; k < trainer.num_agents(); ++k) {
+    selections.push_back(trainer.agent(k).high_level().selections());
+  }
 
   sim::LaneWorld world(sc.config);
   (void)rl::evaluate(world, trainer, rng, 5, sc.merger_index, sc.merger_target_lane);
   EXPECT_EQ(trainer.agent(0).high_level().buffered(), buffered);
+  // Nor the ε schedule: acting counts selections in its own sessions, so
+  // training after an evaluation explores exactly as it would have without.
+  for (int k = 0; k < trainer.num_agents(); ++k) {
+    EXPECT_EQ(trainer.agent(k).high_level().selections(),
+              selections[static_cast<std::size_t>(k)])
+        << "agent " << k;
+  }
 }
 
 TEST(HeroPipeline, RunsOnDomainShiftedWorld) {
@@ -125,17 +136,32 @@ TEST(HeroPipeline, AsynchronousTermination) {
   core::HeroTrainer trainer(sc, fast_hero(), rng);
   trainer.train_skills(5, rng);
 
+  // Explore through the one action path on a batch of one, keeping the
+  // session in view.
   sim::LaneWorld world(sc.config);
+  rl::ObsBatch batch;
+  batch.configure(world.num_learners(), world.high_level_obs_dim(),
+                  world.low_level_obs_dim(), world.track().num_lanes());
+  core::HeroActEngine engine;
+  core::HeroSession session;
+  core::HeroSession* sessions[] = {&session};
+  Rng* rngs[] = {&rng};
+  std::vector<sim::TwistCmd> cmds(static_cast<std::size_t>(world.num_learners()));
   bool saw_desync = false;
   for (int ep = 0; ep < 5 && !saw_desync; ++ep) {
     world.reset(rng);
-    trainer.begin_episode(world);
+    bool fresh = true;
     while (!world.done()) {
-      auto cmds = trainer.act(world, rng, /*explore=*/true);
+      batch.set_count(1);
+      batch.set_slot_from_world(0, world.batch_world(), 0, fresh, &rng);
+      fresh = false;
+      engine.act_rows(trainer.skills(), trainer.agents(), trainer.config().high,
+                      trainer.config().skill.termination, batch, sessions, rngs,
+                      /*explore=*/true, cmds.data());
       (void)world.step(cmds, rng);
-      const int s0 = trainer.agent(0).execution().steps;
-      const int s1 = trainer.agent(1).execution().steps;
-      const int s2 = trainer.agent(2).execution().steps;
+      const int s0 = session.agents[0].exec.steps;
+      const int s1 = session.agents[1].exec.steps;
+      const int s2 = session.agents[2].exec.steps;
       if (s0 != s1 || s1 != s2) saw_desync = true;
     }
   }
@@ -283,8 +309,8 @@ TEST(HeroPipeline, CheckpointRoundTripReproducesBehaviour) {
   Rng e1(7), e2(7);
   w1.reset(e1);
   w2.reset(e2);
-  trainer.begin_episode(w1);
-  restored.begin_episode(w2);
+  trainer.begin_episode();
+  restored.begin_episode();
   while (!w1.done() && !w2.done()) {
     auto c1 = trainer.act(w1, e1, false);
     auto c2 = restored.act(w2, e2, false);

@@ -2,6 +2,7 @@
 // noise, the discrete action grid, and the shared evaluation harness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "rl/discretizer.h"
@@ -160,15 +161,66 @@ TEST(ActionGrid, DecodeOutOfRangeThrows) {
   EXPECT_THROW(g.decode(25), std::logic_error);
 }
 
+// -------------------------------------------------------------- ObsBatch --
+
+// Extracts one world state into slots 0 and 1 of a batch, each with its own
+// noise stream; reports whether every row of the two slots agrees and
+// whether slot 0's stream was left untouched.
+void extract_one_state_twice(const sim::LaneWorldConfig& cfg, bool* rows_equal,
+                             bool* rng_untouched) {
+  sim::LaneWorld world(cfg);
+  Rng reset_rng(3);
+  world.reset(reset_rng);
+  ObsBatch batch;
+  batch.configure(world.num_learners(), world.high_level_obs_dim(),
+                  world.low_level_obs_dim(), world.track().num_lanes());
+  batch.set_count(2);
+  Rng a(1), b(2);
+  batch.set_slot_from_world(0, world.batch_world(), 0, /*reset=*/true, &a);
+  batch.set_slot_from_world(1, world.batch_world(), 0, /*reset=*/true, &b);
+  *rows_equal = true;
+  for (int k = 0; k < world.num_learners(); ++k) {
+    *rows_equal = *rows_equal && std::equal(batch.hl_row(0, k),
+                                            batch.hl_row(0, k) + batch.hl_dim(),
+                                            batch.hl_row(1, k));
+    for (int lane = 0; lane < batch.num_lanes(); ++lane) {
+      *rows_equal = *rows_equal &&
+                    std::equal(batch.ll_row(0, k, lane),
+                               batch.ll_row(0, k, lane) + batch.ll_dim(),
+                               batch.ll_row(1, k, lane));
+    }
+  }
+  *rng_untouched = a.engine() == Rng(1).engine();
+}
+
+// The one world → batch extraction draws the Table II sensor noise from the
+// slot's stream; at zero noise it draws nothing and is a pure function of
+// the world state.
+TEST(ObsBatch, ExtractionDrawsSensorNoiseFromSlotStream) {
+  const auto sc = sim::cooperative_lane_change();
+  bool equal = false;
+  bool untouched = false;
+  extract_one_state_twice(sim::with_real_world_shift(sc.config), &equal, &untouched);
+  EXPECT_FALSE(equal);
+  EXPECT_FALSE(untouched);
+  extract_one_state_twice(sc.config, &equal, &untouched);
+  EXPECT_TRUE(equal);
+  EXPECT_TRUE(untouched);
+}
+
 // ------------------------------------------------------------ evaluation --
 
 // A scripted controller used to exercise the harness deterministically.
 class ConstantController : public Controller {
  public:
   explicit ConstantController(sim::TwistCmd cmd) : cmd_(cmd) {}
-  std::vector<sim::TwistCmd> act(const sim::LaneWorld& world, Rng&, bool) override {
-    return std::vector<sim::TwistCmd>(
-        static_cast<std::size_t>(world.num_learners()), cmd_);
+  void act_rows_into(const ObsBatch& batch, Rng* const*, bool,
+                     sim::TwistCmd* cmds_out) override {
+    const auto n = static_cast<std::size_t>(batch.num_learners());
+    for (std::size_t s = 0; s < batch.count(); ++s) {
+      if (!batch.slot(s).active) continue;
+      std::fill(cmds_out + s * n, cmds_out + (s + 1) * n, cmd_);
+    }
   }
 
  private:

@@ -20,6 +20,10 @@
 #include <thread>
 #include <vector>
 
+#include "algos/coma.h"
+#include "algos/dqn.h"
+#include "algos/maac.h"
+#include "algos/maddpg.h"
 #include "hero/checkpoint.h"
 #include "hero/hero_trainer.h"
 #include "rl/evaluation.h"
@@ -31,6 +35,7 @@
 #include "serve/server.h"
 #include "sim/lane_world.h"
 #include "sim/scenario.h"
+#include "support/hero_oracle.h"
 
 namespace hero::serve {
 namespace {
@@ -449,8 +454,7 @@ TEST(CheckpointManifest, RejectsMalformedManifest) {
 
 // ----------------------------------------------- serving equivalence ----
 
-// Fills `req` for this tick and asks `engine` for commands via a batch of
-// the given session/request groupings.
+// Two response vectors agree request by request, bit for bit.
 void expect_same_responses(const std::vector<ActResponse>& a,
                            const std::vector<ActResponse>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -462,7 +466,11 @@ void expect_same_responses(const std::vector<ActResponse>& a,
   }
 }
 
-TEST(ServingEquivalence, BatchedEqualsBatchSizeOne) {
+// kClients sessions in one mode, served as one batch by one engine and one
+// request at a time by another: every answer must agree bitwise. In explore
+// mode each session draws from its own stream, so its stochastic trajectory
+// must not depend on which sessions share its batch.
+void expect_batched_equals_batch_size_one(bool explore, int ticks) {
   const std::string dir = make_checkpoint("ckpt_equiv", core::HeroConfig{});
   auto scenario = sim::cooperative_lane_change(3);
   PolicyEngine batched(scenario, core::HeroConfig{}, dir);
@@ -473,8 +481,8 @@ TEST(ServingEquivalence, BatchedEqualsBatchSizeOne) {
   std::vector<sim::LaneWorld> worlds_a, worlds_b;
   std::vector<Rng> rngs_a, rngs_b;
   for (int c = 0; c < kClients; ++c) {
-    sa.push_back(batched.open_session(100 + static_cast<unsigned>(c), false));
-    sb.push_back(single.open_session(100 + static_cast<unsigned>(c), false));
+    sa.push_back(batched.open_session(100 + static_cast<unsigned>(c), explore));
+    sb.push_back(single.open_session(100 + static_cast<unsigned>(c), explore));
     worlds_a.emplace_back(scenario.config);
     worlds_b.emplace_back(scenario.config);
     rngs_a.emplace_back(7u * static_cast<unsigned>(c + 1));
@@ -490,7 +498,7 @@ TEST(ServingEquivalence, BatchedEqualsBatchSizeOne) {
   // Untrained policies end episodes early (collisions), so each client
   // tracks its own fresh-episode flag and re-resets on done.
   std::vector<bool> fresh(kClients, true);
-  for (int tick = 0; tick < 25; ++tick) {
+  for (int tick = 0; tick < ticks; ++tick) {
     std::vector<std::uint32_t> ids;
     std::vector<const ActRequest*> ptrs;
     for (int c = 0; c < kClients; ++c) {
@@ -528,22 +536,37 @@ TEST(ServingEquivalence, BatchedEqualsBatchSizeOne) {
   }
 }
 
+TEST(ServingEquivalence, BatchedEqualsBatchSizeOne) {
+  {
+    SCOPED_TRACE("greedy");
+    expect_batched_equals_batch_size_one(/*explore=*/false, /*ticks=*/25);
+  }
+  {
+    SCOPED_TRACE("explore");
+    expect_batched_equals_batch_size_one(/*explore=*/true, /*ticks=*/60);
+  }
+}
+
 TEST(ServingEquivalence, ServedMatchesInProcessGreedy) {
   const std::string dir = make_checkpoint("ckpt_inproc", core::HeroConfig{});
   auto scenario = sim::cooperative_lane_change(3);
   PolicyEngine engine(scenario, core::HeroConfig{}, dir);
 
-  // In-process reference: a trainer restored from the same checkpoint.
+  // In-process: a trainer restored from the same checkpoint, acting through
+  // Controller::act (HeroActEngine on a batch of one), and the scalar greedy
+  // rule written out per agent over the same trainer's networks.
   Rng init_rng(99);
   core::HeroTrainer trainer(scenario, core::HeroConfig{}, init_rng);
   trainer.load(dir);
+  core::oracle::GreedyHero oracle(trainer);
 
   const std::uint32_t session = engine.open_session(1, /*explore=*/false);
   Rng world_rng_a(4242), world_rng_b(4242), act_rng(1);
   sim::LaneWorld world_a(scenario.config), world_b(scenario.config);
   world_a.reset(world_rng_a);
   world_b.reset(world_rng_b);
-  trainer.begin_episode(world_b);
+  trainer.begin_episode();
+  oracle.begin_episode();
 
   ActRequest req;
   std::vector<ActResponse> resp;
@@ -555,11 +578,15 @@ TEST(ServingEquivalence, ServedMatchesInProcessGreedy) {
     fresh = false;
     engine.act_batch({session}, {&req}, &resp);
 
-    const auto ref = trainer.act(world_b, act_rng, /*explore=*/false);
+    const auto in_process = trainer.act(world_b, act_rng, /*explore=*/false);
+    const auto ref = oracle.act(world_b);
+    ASSERT_EQ(in_process.size(), 3u);
     ASSERT_EQ(ref.size(), 3u);
     for (std::size_t k = 0; k < 3; ++k) {
       EXPECT_EQ(resp[0].linear[k], ref[k].linear) << "tick " << tick;    // bitwise
       EXPECT_EQ(resp[0].angular[k], ref[k].angular) << "tick " << tick;  // bitwise
+      EXPECT_EQ(in_process[k].linear, ref[k].linear) << "tick " << tick;
+      EXPECT_EQ(in_process[k].angular, ref[k].angular) << "tick " << tick;
       cmds[k].linear = ref[k].linear;
       cmds[k].angular = ref[k].angular;
     }
@@ -670,6 +697,88 @@ TEST(ServingEquivalence, EvaluateBatchIsWidthInvariant) {
   EXPECT_EQ(a.collision_rate, b.collision_rate);
   EXPECT_EQ(a.success_rate, b.success_rate);
   EXPECT_EQ(a.mean_speed, b.mean_speed);
+}
+
+// ------------------------------------------------- baseline serving ----
+
+// One act_rows_into call over kSlots independent worlds against a per-slot
+// act() on each of them, in one explore mode. Slot 2 sits out every third
+// tick. Commands must agree bitwise, and every slot's RNG must end in the
+// same state: the batched path consumes exactly the draws of acting alone.
+void expect_rows_match_per_slot_act(rl::Controller& ctl, const sim::Scenario& sc,
+                                    bool explore) {
+  constexpr std::size_t kSlots = 5;
+  constexpr int kTicks = 12;
+  std::vector<std::unique_ptr<sim::LaneWorld>> worlds;
+  std::vector<Rng> world_rngs, batch_rngs, slot_rngs;
+  for (std::size_t s = 0; s < kSlots; ++s) {
+    worlds.push_back(std::make_unique<sim::LaneWorld>(sc.config));
+    world_rngs.emplace_back(100 + s);
+    batch_rngs.emplace_back(7 + s);
+    slot_rngs.emplace_back(7 + s);
+    worlds[s]->reset(world_rngs[s]);
+  }
+  const sim::LaneWorld& proto = *worlds[0];
+  const int n = proto.num_learners();
+  rl::ObsBatch batch;
+  batch.configure(n, proto.high_level_obs_dim(), proto.low_level_obs_dim(),
+                  proto.track().num_lanes());
+  std::vector<Rng*> rng_ptrs;
+  for (auto& r : batch_rngs) rng_ptrs.push_back(&r);
+  std::vector<sim::TwistCmd> cmds(kSlots * static_cast<std::size_t>(n));
+  std::vector<sim::TwistCmd> step_cmds(static_cast<std::size_t>(n));
+
+  for (int tick = 0; tick < kTicks; ++tick) {
+    batch.set_count(kSlots);
+    for (std::size_t s = 0; s < kSlots; ++s) {
+      if (s == 2 && tick % 3 == 1) {
+        batch.slot(s).active = false;
+        continue;
+      }
+      batch.set_slot_from_world(s, worlds[s]->batch_world(), 0, /*reset=*/tick == 0,
+                                &batch_rngs[s]);
+    }
+    ctl.act_rows_into(batch, rng_ptrs.data(), explore, cmds.data());
+    for (std::size_t s = 0; s < kSlots; ++s) {
+      if (!batch.slot(s).active) continue;
+      const auto ref = ctl.act(*worlds[s], slot_rngs[s], explore);
+      ASSERT_EQ(ref.size(), static_cast<std::size_t>(n));
+      for (int k = 0; k < n; ++k) {
+        const sim::TwistCmd& got = cmds[s * static_cast<std::size_t>(n) +
+                                        static_cast<std::size_t>(k)];
+        const sim::TwistCmd& want = ref[static_cast<std::size_t>(k)];
+        EXPECT_EQ(got.linear, want.linear)  // bitwise
+            << "tick " << tick << " slot " << s << " agent " << k;
+        EXPECT_EQ(got.angular, want.angular)
+            << "tick " << tick << " slot " << s << " agent " << k;
+        step_cmds[static_cast<std::size_t>(k)] = got;
+      }
+      worlds[s]->step(step_cmds, world_rngs[s]);
+      if (worlds[s]->done()) worlds[s]->reset(world_rngs[s]);
+    }
+  }
+  for (std::size_t s = 0; s < kSlots; ++s) {
+    EXPECT_TRUE(batch_rngs[s].engine() == slot_rngs[s].engine()) << "slot " << s;
+  }
+}
+
+TEST(BaselineServing, ActRowsMatchPerSlotAct) {
+  const auto sc = sim::cooperative_lane_change(3);
+  Rng rng(13);
+  algos::DqnConfig dqn_cfg;
+  dqn_cfg.eps_start = 0.5;  // both ε branches fire while exploring
+  algos::IndependentDqnTrainer dqn(sc, dqn_cfg, rng);
+  algos::ComaTrainer coma(sc, algos::ComaConfig{}, rng);
+  algos::MaddpgTrainer maddpg(sc, algos::MaddpgConfig{}, rng);
+  algos::MaacTrainer maac(sc, algos::MaacConfig{}, rng);
+  const std::vector<std::pair<const char*, rl::Controller*>> methods = {
+      {"dqn", &dqn}, {"coma", &coma}, {"maddpg", &maddpg}, {"maac", &maac}};
+  for (const auto& [name, ctl] : methods) {
+    for (const bool explore : {false, true}) {
+      SCOPED_TRACE(std::string(name) + (explore ? " explore" : " greedy"));
+      expect_rows_match_per_slot_act(*ctl, sc, explore);
+    }
+  }
 }
 
 // ------------------------------------------------- socket end-to-end ----

@@ -1,10 +1,14 @@
 #!/usr/bin/env sh
 # Seed-determinism gate: runs hero_train twice with the same seed and fails
 # unless the two runs are bitwise identical in everything that matters —
-# the saved checkpoint directory and the telemetry JSONL stream (normalized:
+# the saved checkpoint directory, the telemetry JSONL stream (normalized:
 # wall-clock fields stripped, lines canonically sorted because stage-1 skill
 # threads interleave their writes nondeterministically while the *content*
-# of every line is deterministic per-thread).
+# of every line is deterministic per-thread), and a short hero_eval of each
+# run's checkpoint on the clean and the domain-shifted ("--real-world")
+# world, whose stdout must match once the checkpoint path is normalized.
+# Evaluation acts through the same HeroActEngine sessions as training and
+# draws the shifted world's sensor noise, so it is gated too.
 #
 #   tools/check_determinism.sh [build_dir]
 #
@@ -49,8 +53,8 @@ scenario=${DET_SCENARIO:-}
 scenario_vehicles=${DET_SCENARIO_VEHICLES:-0}
 
 cmake -B "$build_dir" -S "$repo_root" > /dev/null
-cmake --build "$build_dir" --target hero_train -j"$(nproc 2>/dev/null || echo 1)" \
-    > /dev/null
+cmake --build "$build_dir" --target hero_train hero_eval \
+    -j"$(nproc 2>/dev/null || echo 1)" > /dev/null
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/hero_determinism.XXXXXX")
 trap 'rm -rf "$work"' EXIT INT TERM
@@ -70,6 +74,17 @@ run() {
         ${scenario:+--scenario-vehicles "$scenario_vehicles"} \
         --telemetry-out "$out_dir/telemetry.jsonl" \
         > "$out_dir/stdout.log"
+    for world in sim real-world; do
+        "$build_dir/tools/hero_eval" \
+            --ckpt "$out_dir/ckpt" \
+            --seed "$seed" \
+            --episodes 3 \
+            ${scenario:+--scenario "$scenario"} \
+            ${scenario:+--scenario-vehicles "$scenario_vehicles"} \
+            $([ "$world" = real-world ] && echo --real-world) \
+            > "$out_dir/eval_$world.raw"
+        sed "s#$out_dir#RUN#g" "$out_dir/eval_$world.raw" > "$out_dir/eval_$world.log"
+    done
 }
 
 echo "run 1/2 (seed $seed, $skill_episodes skill episodes, $episodes episodes, $workers workers, batch $batch_envs${scenario:+, scenario $scenario})..."
@@ -136,6 +151,17 @@ if ! diff -r "$work/run1/ckpt" "$work/run2/ckpt" > "$work/ckpt.diff" 2>&1; then
 else
     echo "ok: checkpoints bitwise identical"
 fi
+
+for world in sim real-world; do
+    if ! diff -u "$work/run1/eval_$world.log" "$work/run2/eval_$world.log" \
+            > "$work/eval_$world.diff" 2>&1; then
+        echo "FAIL: hero_eval ($world) output differs between identically-seeded runs:"
+        head -n 40 "$work/eval_$world.diff"
+        status=1
+    else
+        echo "ok: hero_eval ($world) output identical"
+    fi
+done
 
 if [ "$status" -ne 0 ]; then
     echo "seed-determinism check FAILED (seed $seed)"

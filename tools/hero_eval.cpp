@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
 
   if (!svg.empty()) {
     world.reset(rng);
-    trainer.begin_episode(world);
+    trainer.begin_episode();
     viz::TrajectoryRecorder rec;
     rec.start(world);
     while (!world.done()) {
