@@ -1,21 +1,20 @@
 // JSON perf-trajectory reporter.
 //
-// Times the NN hot-path operations (op level) and short training slices of
-// HERO plus every baseline (steps/sec), then writes two machine-readable
-// snapshots:
+// Times the NN hot-path operations (op level), short training slices of
+// every baseline, and the batch-first sim and dense-traffic sensing
+// (steps/sec), then writes two machine-readable snapshots:
 //
 //   BENCH_nn.json    — op-level numbers (ns/iter), google-benchmark-style
 //   BENCH_train.json — environment-steps-per-second per training method
 //
 // Every perf PR re-runs `tools/run_benchmarks.sh` and commits the refreshed
-// snapshots, so the repo carries its own performance trajectory.
+// snapshots, so the repo carries its own performance trajectory. HERO's
+// training throughput is measured end to end by perfbench (BENCHMARK.json);
+// here it appears only as BM_BatchedRollout/dense64.
 //
-// Single-core container caveat: CI and the reference container expose one
-// core, so every number here — including the BM_BatchStep/E* and
-// BM_BatchedRollout/E* batch-first entries — measures single-thread
-// throughput. Batching wins come from amortized forward passes and update
-// cadence (docs/BATCHING.md), not from parallel hardware; the baselines'
-// "/wN" worker variants likewise record dispatch overhead, not speedup.
+// The "/wN" variants of the DQN and MADDPG slices run their update pools
+// at N workers; whether that pays depends on the host's free cores and on
+// the slice length (docs/PARALLELISM.md §Baselines has measured ratios).
 //
 // Run:  ./bench_json [--nn-out F] [--train-out F] [--min-time SECONDS]
 #include <chrono>
@@ -241,10 +240,8 @@ TrainSlice time_train(const std::string& name, TrainFn&& fn) {
 
 // One pass over the trainers at a fixed worker count. Names carry a "/wN"
 // suffix for N > 1 so the single-worker entries keep their historical names
-// (and their seed baselines). On a single-core host the multi-worker numbers
-// measure dispatch overhead, not speedup — the snapshot records what the
-// hardware actually delivered (docs/PARALLELISM.md). HERO runs only at one
-// worker: num_workers sizes its stage-1 pool and never changes stage 2.
+// (and their seed baselines). Only DQN and MADDPG have an update pool
+// (docs/PARALLELISM.md §Baselines); COMA and MAAC run at one worker.
 void run_train_cases(int episodes, int workers, std::vector<TrainSlice>& out) {
   using namespace hero;
   const sim::Scenario scenario = sim::cooperative_lane_change();
@@ -265,15 +262,15 @@ void run_train_cases(int episodes, int workers, std::vector<TrainSlice>& out) {
     return steps;
   }));
 
-  out.push_back(time_train("coma" + suffix, [&] {
-    Rng rng(1);
-    algos::ComaConfig cfg;
-    cfg.num_workers = workers;
-    algos::ComaTrainer t(scenario, cfg, rng);
-    long steps = 0;
-    t.train(episodes, rng, step_counter(steps));
-    return steps;
-  }));
+  if (workers == 1) {
+    out.push_back(time_train("coma", [&] {
+      Rng rng(1);
+      algos::ComaTrainer t(scenario, algos::ComaConfig{}, rng);
+      long steps = 0;
+      t.train(episodes, rng, step_counter(steps));
+      return steps;
+    }));
+  }
 
   out.push_back(time_train("maddpg" + suffix, [&] {
     Rng rng(1);
@@ -286,39 +283,24 @@ void run_train_cases(int episodes, int workers, std::vector<TrainSlice>& out) {
     return steps;
   }));
 
-  out.push_back(time_train("maac" + suffix, [&] {
-    Rng rng(1);
-    algos::MaacConfig cfg;
-    cfg.warmup_steps = 64;
-    cfg.num_workers = workers;
-    algos::MaacTrainer t(scenario, cfg, rng);
-    long steps = 0;
-    t.train(episodes, rng, step_counter(steps));
-    return steps;
-  }));
-
-  if (workers > 1) return;
-  out.push_back(time_train("hero", [&] {
-    Rng rng(1);
-    core::HeroConfig cfg;
-    cfg.high.warmup_transitions = 16;
-    // 16 lockstep envs share each policy/opponent forward and the gradient
-    // clock counts batch steps (docs/BATCHING.md).
-    cfg.batch_envs = 16;
-    core::HeroTrainer t(scenario, cfg, rng);
-    t.train_skills(/*episodes_per_skill=*/2, rng);
-    long steps = 0;
-    t.train(episodes, rng, step_counter(steps));
-    return steps;
-  }));
+  if (workers == 1) {
+    out.push_back(time_train("maac", [&] {
+      Rng rng(1);
+      algos::MaacConfig cfg;
+      cfg.warmup_steps = 64;
+      algos::MaacTrainer t(scenario, cfg, rng);
+      long steps = 0;
+      t.train(episodes, rng, step_counter(steps));
+      return steps;
+    }));
+  }
 }
 
 // Batch-first entries (docs/BATCHING.md), reported as env steps/sec so the
 // regression gate compares them with the same higher-is-better polarity as
 // the trainer slices. BM_BatchStep isolates the SoA sim (step_all with
-// constant keep-lane commands, done envs re-seeded in place); BM_BatchedRollout
-// runs one full-width HERO round — selection, skills, and opponent
-// predictions batched across E lockstep episodes.
+// constant keep-lane commands, done envs re-seeded in place). HERO's
+// batched rollout is timed end to end by perfbench's coop3 workloads.
 void run_batch_cases(std::vector<TrainSlice>& out) {
   using namespace hero;
   const sim::Scenario scenario = sim::cooperative_lane_change();
@@ -349,22 +331,6 @@ void run_batch_cases(std::vector<TrainSlice>& out) {
       }
       return batch_steps * envs;
     }));
-  }
-
-  for (int envs : {16, 64}) {
-    out.push_back(
-        time_train("BM_BatchedRollout/E" + std::to_string(envs), [&] {
-          Rng rng(1);
-          core::HeroConfig cfg;
-          cfg.high.warmup_transitions = 16;
-          cfg.batch_envs = envs;
-          core::HeroTrainer t(scenario, cfg, rng);
-          t.train_skills(/*episodes_per_skill=*/2, rng);
-          long steps = 0;
-          t.train(/*episodes=*/envs, rng,
-                  [&](int, const rl::EpisodeStats& s) { steps += s.steps; });
-          return steps;
-        }));
   }
 }
 

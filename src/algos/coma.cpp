@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/stats.h"
 #include "nn/losses.h"
 #include "obs/obs.h"
 
@@ -27,24 +26,14 @@ ComaTrainer::ComaTrainer(const sim::Scenario& scenario, const ComaConfig& cfg, R
   critic_target_ = critic_;
   critic_opt_ =
       std::make_unique<nn::Adam>(critic_.params(), cfg_.lr * cfg_.critic_lr_scale);
-  if (cfg_.num_workers > 1) {
-    pool_ = std::make_unique<runtime::ThreadPool>(
-        static_cast<std::size_t>(cfg_.num_workers));
-  }
-}
-
-void ComaTrainer::for_rows(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  if (pool_) {
-    pool_->parallel_for(n, fn);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
 }
 
 void ComaTrainer::critic_input_into(const StepRecord& rec, int agent,
                                     double* row) const {
   std::size_t c = 0;
-  for (double v : rec.joint_obs) row[c++] = v;
+  for (const auto& o : rec.obs) {
+    for (double v : o) row[c++] = v;
+  }
   // Agent id one-hot.
   for (int j = 0; j < n_; ++j) row[c++] = (j == agent) ? 1.0 : 0.0;
   // Other agents' actions, one-hot, in agent order skipping `agent`.
@@ -58,18 +47,10 @@ void ComaTrainer::critic_input_into(const StepRecord& rec, int agent,
 
 void ComaTrainer::act_rows_into(const rl::ObsBatch& batch, Rng* const* rngs,
                                 bool explore, sim::TwistCmd* cmds_out) {
-  batched_act(batch, rngs, explore, cmds_out);
-}
-
-void ComaTrainer::batched_act(const rl::ObsBatch& batch, Rng* const* rngs,
-                              bool explore, sim::TwistCmd* cmds_out) {
   OBS_PHASE("act_rows");
   const int n = batch.num_learners();
   HERO_CHECK_MSG(n == n_, "batch has " << n << " learners, trainer has " << n_);
-  act_slots_.clear();
-  for (std::size_t s = 0; s < batch.count(); ++s) {
-    if (batch.slot(s).active) act_slots_.push_back(s);
-  }
+  active_slots(batch, act_slots_);
   if (act_slots_.empty()) return;
   for (int k = 0; k < n; ++k) {
     gather_baseline_rows(batch, k, act_slots_, act_obs_);
@@ -88,10 +69,8 @@ void ComaTrainer::batched_act(const rl::ObsBatch& batch, Rng* const* rngs,
   }
 }
 
-void ComaTrainer::update_from_episode(const std::vector<StepRecord>& episode,
-                                      Rng& rng) {
+void ComaTrainer::update_from_episode(const std::vector<StepRecord>& episode) {
   OBS_PHASE("update");
-  (void)rng;
   if (episode.empty()) return;
   const std::size_t T = episode.size();
 
@@ -108,10 +87,10 @@ void ComaTrainer::update_from_episode(const std::vector<StepRecord>& episode,
     // ----- critic regression: Q(s_t, a^i_t) → G_t -----
     critic_in_m_.resize(T, critic_.in_dim());
     taken_.resize(T);
-    for_rows(T, [&](std::size_t t) {
+    for (std::size_t t = 0; t < T; ++t) {
       critic_input_into(episode[t], i, critic_in_m_.row_ptr(t));
       taken_[t] = episode[t].actions[static_cast<std::size_t>(i)];
-    });
+    }
     const nn::Matrix& qs = critic_.forward(critic_in_m_);
     nn::mse_loss_selected_into(qs, taken_, returns_, closs_grad_);
     critic_.zero_grad();
@@ -123,10 +102,10 @@ void ComaTrainer::update_from_episode(const std::vector<StepRecord>& episode,
     // Recompute Q after the critic step for a slightly fresher estimate.
     const nn::Matrix& q_now = critic_.forward(critic_in_m_);
     obs_m_.resize(T, obs_dim_);
-    for_rows(T, [&](std::size_t t) {
+    for (std::size_t t = 0; t < T; ++t) {
       const auto& o = episode[t].obs[static_cast<std::size_t>(i)];
       std::copy(o.begin(), o.end(), obs_m_.row_ptr(t));
-    });
+    }
 
     auto& actor = actors_[static_cast<std::size_t>(i)];
     const nn::Matrix& logits = actor.net().forward(obs_m_);
@@ -138,7 +117,7 @@ void ComaTrainer::update_from_episode(const std::vector<StepRecord>& episode,
     const double inv_t = 1.0 / static_cast<double>(T);
     dlogits_.resize(T, A);
     dlogits_.fill(0.0);
-    for_rows(T, [&](std::size_t t) {
+    for (std::size_t t = 0; t < T; ++t) {
       double baseline = 0.0;
       for (std::size_t a = 0; a < A; ++a) baseline += probs_(t, a) * q_now(t, a);
       const double adv = q_now(t, taken_[t]) - baseline;
@@ -153,7 +132,7 @@ void ComaTrainer::update_from_episode(const std::vector<StepRecord>& episode,
       for (std::size_t a = 0; a < A; ++a) {
         dlogits_(t, a) += cfg_.entropy_coef * probs_(t, a) * (logp_(t, a) + ent) * inv_t;
       }
-    });
+    }
     actor.net().zero_grad();
     actor.net().backward_params(dlogits_);
     actor.net().clip_grad_norm(cfg_.grad_clip);
@@ -162,47 +141,34 @@ void ComaTrainer::update_from_episode(const std::vector<StepRecord>& episode,
   critic_target_.soft_update_from(critic_, cfg_.tau);
 }
 
-void ComaTrainer::train(int episodes, Rng& rng, const EpisodeHook& hook) {
-  for (int ep = 0; ep < episodes; ++ep) {
-    OBS_PHASE("episode");
-    world_.reset(rng);
-    rl::EpisodeStats stats;
-    std::vector<StepRecord> episode;
-
-    while (!world_.done()) {
-      StepRecord rec;
-      rec.obs.resize(static_cast<std::size_t>(n_));
-      rec.actions.resize(static_cast<std::size_t>(n_));
-      std::vector<sim::TwistCmd> cmds;
-      for (int k = 0; k < n_; ++k) {
-        const int vi = world_.learners()[static_cast<std::size_t>(k)];
-        rec.obs[static_cast<std::size_t>(k)] = baseline_obs(world_, vi);
-        rec.joint_obs.insert(rec.joint_obs.end(),
-                             rec.obs[static_cast<std::size_t>(k)].begin(),
-                             rec.obs[static_cast<std::size_t>(k)].end());
-        rec.actions[static_cast<std::size_t>(k)] = actors_[static_cast<std::size_t>(k)].act(
-            rec.obs[static_cast<std::size_t>(k)], rng, /*greedy=*/false);
-        cmds.push_back(grid_.decode(rec.actions[static_cast<std::size_t>(k)]));
-      }
-
-      auto result = world_.step(cmds, rng);
-      rec.reward = mean_of(result.reward);
-      stats.team_reward += rec.reward;
-      if (result.collision) stats.collision = true;
-      episode.push_back(std::move(rec));
+void ComaTrainer::record_step(const rl::StepView& tick) {
+  const std::size_t N = static_cast<std::size_t>(n_);
+  for (std::size_t s = 0; s < tick.before.count(); ++s) {
+    if (!tick.before.slot(s).active) continue;
+    StepRecord rec;
+    double sum = 0.0;
+    for (int k = 0; k < n_; ++k) {
+      const std::size_t idx = s * N + static_cast<std::size_t>(k);
+      rec.obs.push_back(baseline_row(tick.before, s, k));
+      rec.actions.push_back(grid_.encode(tick.cmds[idx]));
+      sum += tick.result.reward[idx];
     }
-
-    update_from_episode(episode, rng);
-
-    stats.steps = world_.steps();
-    stats.success = !stats.collision &&
-                    world_.lane(scenario_.merger_index) == scenario_.merger_target_lane;
-    double speed = 0.0;
-    for (int vi : world_.learners()) speed += world_.mean_speed(vi);
-    stats.mean_speed = speed / static_cast<double>(world_.num_learners());
-    record_episode("coma", ep, stats);
-    if (hook) hook(ep, stats);
+    rec.reward = sum / static_cast<double>(n_);
+    episodes_[s].push_back(std::move(rec));
   }
+}
+
+void ComaTrainer::train(int episodes, Rng& rng, const EpisodeHook& hook) {
+  rl::EpisodeLoop loop = training_loop(*this, scenario_, "coma", hook);
+  episodes_.assign(static_cast<std::size_t>(std::max(cfg_.batch_envs, 1)), {});
+  loop.on_step = [&](const rl::StepView& tick) { record_step(tick); };
+  loop.on_episode = [this, report = loop.on_episode](
+                        int ep, std::size_t lane, const rl::EpisodeStats& s) {
+    update_from_episode(episodes_[lane]);
+    episodes_[lane].clear();
+    report(ep, lane, s);
+  };
+  run_training(loop, world_, cfg_.batch_envs, episodes, rng);
 }
 
 }  // namespace hero::algos

@@ -13,7 +13,6 @@
 #include "nn/optimizer.h"
 #include "nn/policy_heads.h"
 #include "rl/discretizer.h"
-#include "runtime/thread_pool.h"
 
 namespace hero::algos {
 
@@ -26,6 +25,8 @@ class ComaTrainer : public rl::Controller {
  public:
   ComaTrainer(const sim::Scenario& scenario, const ComaConfig& cfg, Rng& rng);
 
+  // Runs `episodes` training episodes through the episode runner; each
+  // episode's on-policy update runs when it is reported, before `hook`.
   void train(int episodes, Rng& rng, const EpisodeHook& hook = {});
 
   // rl::Controller (greedy when explore == false): one actor forward per
@@ -39,28 +40,20 @@ class ComaTrainer : public rl::Controller {
   sim::LaneWorld& world() { return world_; }
 
  private:
-  // act_rows_into body (the _into method stays allocation-free; scratch
-  // grows here on batch-shape changes only).
-  void batched_act(const rl::ObsBatch& batch, Rng* const* rngs, bool explore,
-                   sim::TwistCmd* cmds_out);
   // One time-step of on-policy experience for the whole team.
   struct StepRecord {
     std::vector<std::vector<double>> obs;  // per agent (local)
-    std::vector<double> joint_obs;         // concatenated
     std::vector<std::size_t> actions;      // per agent
     double reward;                         // shared team reward
   };
 
-  // Critic input for agent i at one step: [joint_obs | onehot(i) | onehot
-  // actions of the other agents], written into a preallocated matrix row.
+  // Critic input for agent i at one step: [every agent's obs, in order |
+  // onehot(i) | onehot actions of the other agents], written into a
+  // preallocated matrix row.
   void critic_input_into(const StepRecord& rec, int agent, double* row) const;
-  void update_from_episode(const std::vector<StepRecord>& episode, Rng& rng);
-  // Runs fn(t) for t in [0, n) — on the pool when num_workers > 1. Used for
-  // the per-timestep batch-assembly loops (index-addressed row writes, so
-  // results are bitwise identical at any worker count). The gradient chain
-  // itself stays serial: COMA's critic is one shared network whose steps are
-  // interleaved with the per-agent actor updates.
-  void for_rows(std::size_t n, const std::function<void(std::size_t)>& fn);
+  void update_from_episode(const std::vector<StepRecord>& episode);
+  // Step hook: appends each stepped lane's StepRecord to its episode.
+  void record_step(const rl::StepView& tick);
 
   sim::Scenario scenario_;
   ComaConfig cfg_;
@@ -80,7 +73,8 @@ class ComaTrainer : public rl::Controller {
   nn::Matrix act_obs_, act_probs_;       // act_rows scratch
   std::vector<double> returns_;
   std::vector<std::size_t> taken_;
-  std::unique_ptr<runtime::ThreadPool> pool_;  // null while num_workers <= 1
+  // On-policy experience of the episodes in flight, one per lane.
+  std::vector<std::vector<StepRecord>> episodes_;
 };
 
 }  // namespace hero::algos

@@ -43,37 +43,67 @@ void record_episode(const char* method, int episode, const rl::EpisodeStats& sta
   }
 }
 
-std::vector<double> baseline_obs(const sim::LaneWorld& world, int vehicle) {
-  std::vector<double> obs = world.high_level_obs(vehicle);
-  std::vector<double> cam = world.low_level_obs(vehicle, world.lane(vehicle));
-  obs.insert(obs.end(), cam.begin(), cam.end());
-  return obs;
-}
-
 std::size_t baseline_obs_dim(const sim::LaneWorld& world) {
   return world.high_level_obs_dim() + world.low_level_obs_dim();
 }
 
-void baseline_obs_into(const sim::BatchLaneWorld& world, int e, int vehicle,
-                       double* out) {
-  world.high_level_obs_into(e, vehicle, out);
-  world.low_level_obs_into(e, vehicle, world.lane(e, vehicle),
-                           out + world.high_level_obs_dim());
+namespace {
+
+void copy_baseline_row(const rl::ObsBatch& batch, std::size_t s, int agent,
+                       double* row) {
+  const double* hsrc = batch.hl_row(s, agent);
+  std::copy(hsrc, hsrc + batch.hl_dim(), row);
+  const double* lsrc = batch.ll_row(s, agent, batch.scalars(s, agent).lane);
+  std::copy(lsrc, lsrc + batch.ll_dim(), row + batch.hl_dim());
+}
+
+}  // namespace
+
+void active_slots(const rl::ObsBatch& batch, std::vector<std::size_t>& slots) {
+  slots.clear();
+  for (std::size_t s = 0; s < batch.count(); ++s) {
+    if (batch.slot(s).active) slots.push_back(s);
+  }
 }
 
 void gather_baseline_rows(const rl::ObsBatch& batch, int agent,
                           const std::vector<std::size_t>& slots, nn::Matrix& out) {
-  const std::size_t hl = batch.hl_dim();
-  const std::size_t ll = batch.ll_dim();
-  out.resize(slots.size(), hl + ll);
+  out.resize(slots.size(), batch.hl_dim() + batch.ll_dim());
   for (std::size_t r = 0; r < slots.size(); ++r) {
-    const std::size_t s = slots[r];
-    double* row = out.row_ptr(r);
-    const double* hsrc = batch.hl_row(s, agent);
-    std::copy(hsrc, hsrc + hl, row);
-    const double* lsrc = batch.ll_row(s, agent, batch.scalars(s, agent).lane);
-    std::copy(lsrc, lsrc + ll, row + hl);
+    copy_baseline_row(batch, slots[r], agent, out.row_ptr(r));
   }
+}
+
+std::vector<double> baseline_row(const rl::ObsBatch& batch, std::size_t slot,
+                                 int agent) {
+  std::vector<double> row(batch.hl_dim() + batch.ll_dim());
+  copy_baseline_row(batch, slot, agent, row.data());
+  return row;
+}
+
+rl::EpisodeLoop training_loop(rl::Controller& trainer, const sim::Scenario& scenario,
+                              const char* method, const EpisodeHook& hook) {
+  rl::EpisodeLoop loop;
+  loop.controller = &trainer;
+  loop.explore = true;
+  loop.merger_index = scenario.merger_index;
+  loop.merger_target_lane = scenario.merger_target_lane;
+  loop.on_episode = [method, hook](int ep, std::size_t, const rl::EpisodeStats& s) {
+    record_episode(method, ep, s);
+    if (hook) hook(ep, s);
+  };
+  return loop;
+}
+
+void run_training(const rl::EpisodeLoop& loop, sim::LaneWorld& world, int batch_envs,
+                  int episodes, Rng& rng) {
+  if (batch_envs <= 0) {
+    rl::run_episodes(loop, world.batch_world(), rng, episodes);
+    return;
+  }
+  const std::uint64_t root = rng.engine()();
+  sim::BatchLaneWorld lanes(world.config(), batch_envs);
+  rl::run_episodes(loop, lanes, root, episodes);
 }
 
 std::vector<double> primitive_lo() { return {0.04, -0.25}; }

@@ -1,12 +1,13 @@
 // Shared plumbing for the end-to-end MARL baselines (Sec. V-A of the paper):
 // the common observation each baseline consumes, the shared hyper-parameter
-// block (paper Table I), and the per-episode training hook used by the
-// learning-curve benches.
+// block (paper Table I), the per-episode training hook used by the
+// learning-curve benches, and the training entry into the one episode loop.
 #pragma once
 
 #include <functional>
 #include <vector>
 
+#include "rl/episode_runner.h"
 #include "rl/evaluation.h"
 #include "sim/batch_lane_world.h"
 #include "sim/scenario.h"
@@ -38,18 +39,13 @@ struct TrainConfig {
   // Gaussian exploration noise (deterministic-policy methods).
   double act_noise = 0.1;
 
-  // Worker threads for the update phase (runtime::ThreadPool). The parallel
-  // paths draw every RNG value serially in agent order before fanning out,
-  // and workers write only index-addressed state — so results are bitwise
-  // identical to num_workers == 1 at any worker count
-  // (docs/PARALLELISM.md §baselines).
-  int num_workers = 1;
-
-  // Batch-first collection (docs/BATCHING.md): > 0 rolls out that many
-  // episodes in lockstep through one vectorized BatchLaneWorld, with policy
-  // evaluation batched across environments and the update/ε clocks counting
-  // synchronized batch steps. Trainers opt in per method (DQN today);
-  // results are keyed to (seed, batch_envs).
+  // Batch-first collection (docs/BATCHING.md, "One episode loop"): 0 runs
+  // one episode at a time on the trainer's own world, every draw from the
+  // train() caller's rng; E > 0 rolls out rounds of E episodes in lockstep
+  // through one vectorized BatchLaneWorld, lane streams keyed by one root
+  // draw per train() call, with policy evaluation batched across
+  // environments and the update/ε clocks counting synchronized batch
+  // steps. Results are keyed to (seed, batch_envs).
   int batch_envs = 0;
 };
 
@@ -64,23 +60,37 @@ void record_episode(const char* method, int episode, const rl::EpisodeStats& sta
 
 // The local observation every end-to-end baseline receives: the high-level
 // sensor state (lidar, speed, lane id) concatenated with the lane-camera
-// features — i.e. the union of what HERO's two layers see, so no method has
-// an information advantage.
-std::vector<double> baseline_obs(const sim::LaneWorld& world, int vehicle);
+// features of the current lane — i.e. the union of what HERO's two layers
+// see, so no method has an information advantage.
 std::size_t baseline_obs_dim(const sim::LaneWorld& world);
 
-// Batched analogue: writes the same concatenated observation for vehicle of
-// env `e` straight out of the SoA world's zero-alloc observation cores —
-// the shared hook every baseline's batch_envs path collects through.
-void baseline_obs_into(const sim::BatchLaneWorld& world, int e, int vehicle,
-                       double* out);
+// The active slots of `batch` in slot order, written over `slots` (which
+// grows only when the batch does) — the rows every act_rows_into serves.
+void active_slots(const rl::ObsBatch& batch, std::vector<std::size_t>& slots);
 
-// Deployment-batch analogue: row r of `out` becomes agent `k`'s baseline
-// observation [hl | ll(current lane)] for slot slots[r] of the batch — the
-// row gather behind every baseline's act_rows_into override. `out` is
+// Row r of `out` becomes agent `k`'s baseline observation [hl | ll(current
+// lane)] for slot slots[r] of the batch — the one gather behind every
+// baseline's act_rows_into override and its replay storage. `out` is
 // resized in place (slots.size() × baseline obs dim).
 void gather_baseline_rows(const rl::ObsBatch& batch, int agent,
                           const std::vector<std::size_t>& slots, nn::Matrix& out);
+// The same observation for one (slot, agent) pair, as a replay vector.
+std::vector<double> baseline_row(const rl::ObsBatch& batch, std::size_t slot,
+                                 int agent);
+
+// The loop every trainer hands the episode runner (rl/episode_runner.h):
+// exploring through `trainer`, judged against the scenario's merger, each
+// finished episode reported through record_episode(method) and then
+// `hook`. Trainers add their on_step (transition storage, update clock).
+rl::EpisodeLoop training_loop(rl::Controller& trainer, const sim::Scenario& scenario,
+                              const char* method, const EpisodeHook& hook);
+
+// Runs `episodes` episodes of `loop` with TrainConfig::batch_envs' keying:
+// 0 — one lane on `world`, every draw from `rng`; E > 0 — a
+// BatchLaneWorld of E lanes keyed by stream_rng(root, episode), root one
+// rng.engine()() draw. The hooks' own draws come from `rng` either way.
+void run_training(const rl::EpisodeLoop& loop, sim::LaneWorld& world, int batch_envs,
+                  int episodes, Rng& rng);
 
 // Primitive action bounds shared by the continuous-control baselines
 // (the envelope of the paper's per-skill ranges).

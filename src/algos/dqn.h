@@ -15,13 +15,18 @@
 #include "rl/discretizer.h"
 #include "rl/prioritized_replay.h"
 #include "rl/replay_buffer.h"
-#include "runtime/batch_rollout.h"
 #include "runtime/thread_pool.h"
-#include "sim/batch_lane_world.h"
 
 namespace hero::algos {
 
 struct DqnConfig : TrainConfig {
+  // Worker threads for the update phase (runtime::ThreadPool). Batches are
+  // drawn serially in agent order before the per-agent gradient math fans
+  // out, and workers write only agent-indexed state, so results are
+  // bitwise identical to num_workers == 1 at any worker count
+  // (docs/PARALLELISM.md §Baselines). Prioritized replay stays serial.
+  int num_workers = 1;
+
   // Prioritized experience replay (Schaul et al. 2016); β anneals linearly
   // from per_beta0 to 1 over per_beta_steps gradient updates.
   bool prioritized = false;
@@ -34,8 +39,8 @@ class IndependentDqnTrainer : public rl::Controller {
  public:
   IndependentDqnTrainer(const sim::Scenario& scenario, const DqnConfig& cfg, Rng& rng);
 
-  // Runs `episodes` training episodes (exploring, learning); invokes `hook`
-  // with the stats of every episode.
+  // Runs `episodes` training episodes (exploring, learning) through the
+  // episode runner; invokes `hook` with the stats of every episode.
   void train(int episodes, Rng& rng, const EpisodeHook& hook = {});
 
   // rl::Controller (greedy when explore == false): one Q forward per agent
@@ -67,12 +72,6 @@ class IndependentDqnTrainer : public rl::Controller {
     std::vector<std::size_t> actions;
   };
 
-  std::size_t select_action(int agent, const std::vector<double>& obs, Rng& rng,
-                            bool explore);
-  // act_rows_into body (the _into method stays allocation-free; scratch
-  // grows here on batch-shape changes only).
-  void batched_act(const rl::ObsBatch& batch, Rng* const* rngs, bool explore,
-                   sim::TwistCmd* cmds_out);
   double update_agent(int agent, Rng& rng);
   // The gradient step on agent's Q-net for an already-sampled batch — no RNG,
   // touches only agent-indexed state, so it can run on a pool worker.
@@ -83,11 +82,9 @@ class IndependentDqnTrainer : public rl::Controller {
   // num_workers > 1 and uniform replay, batches are drawn serially in agent
   // order and the math fans out (bitwise-identical results either way).
   void update_round(Rng& rng);
-  // Batch-first collection (cfg_.batch_envs > 0): rounds of batch_envs
-  // episodes step in lockstep through a BatchLaneWorld, ε-greedy over one
-  // batched Q forward per agent per step, with the update and ε clocks
-  // counting synchronized batch steps (docs/BATCHING.md).
-  void train_batched(int episodes, Rng& rng, const EpisodeHook& hook);
+  // Step hook: stores the tick's transitions lane-ascending, then
+  // agent-ascending, and runs the update clock (one tick = one batch step).
+  void store_and_update(const rl::StepView& tick, Rng& rng);
 
   sim::Scenario scenario_;
   DqnConfig cfg_;
@@ -107,10 +104,6 @@ class IndependentDqnTrainer : public rl::Controller {
   nn::Matrix act_obs_;                  // act_rows scratch: gathered obs rows
   std::vector<std::vector<const Transition*>> sampled_;  // parallel round staging
   std::unique_ptr<runtime::ThreadPool> pool_;  // null while num_workers <= 1
-
-  // Batch-first collection state (null while batch_envs == 0).
-  std::unique_ptr<sim::BatchLaneWorld> bworld_;
-  std::unique_ptr<runtime::BatchRoundScheduler> bsched_;
 };
 
 }  // namespace hero::algos

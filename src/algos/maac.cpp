@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/stats.h"
 #include "nn/losses.h"
 #include "obs/obs.h"
 
@@ -22,41 +21,14 @@ MaacTrainer::MaacTrainer(const sim::Scenario& scenario, const MaacConfig& cfg, R
   critic_target_ = std::make_unique<AttentionCritic>(*critic_);
   actor_opt_ = std::make_unique<nn::Adam>(actor_.net().params(), cfg_.lr * 0.5);
   critic_opt_ = std::make_unique<nn::Adam>(critic_->params(), cfg_.lr);
-  if (cfg_.num_workers > 1) {
-    pool_ = std::make_unique<runtime::ThreadPool>(
-        static_cast<std::size_t>(cfg_.num_workers));
-  }
-}
-
-void MaacTrainer::for_rows(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  if (pool_) {
-    pool_->parallel_for(n, fn);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
-}
-
-std::vector<double> MaacTrainer::actor_obs(const std::vector<double>& obs,
-                                           int agent) const {
-  std::vector<double> in = obs;
-  for (int j = 0; j < n_; ++j) in.push_back(j == agent ? 1.0 : 0.0);
-  return in;
 }
 
 void MaacTrainer::act_rows_into(const rl::ObsBatch& batch, Rng* const* rngs,
                                 bool explore, sim::TwistCmd* cmds_out) {
-  batched_act(batch, rngs, explore, cmds_out);
-}
-
-void MaacTrainer::batched_act(const rl::ObsBatch& batch, Rng* const* rngs,
-                              bool explore, sim::TwistCmd* cmds_out) {
   OBS_PHASE("act_rows");
   const int n = batch.num_learners();
   HERO_CHECK_MSG(n == n_, "batch has " << n << " learners, trainer has " << n_);
-  act_slots_.clear();
-  for (std::size_t s = 0; s < batch.count(); ++s) {
-    if (batch.slot(s).active) act_slots_.push_back(s);
-  }
+  active_slots(batch, act_slots_);
   if (act_slots_.empty()) return;
   const std::size_t obs_dim = batch.hl_dim() + batch.ll_dim();
   for (int k = 0; k < n; ++k) {
@@ -83,11 +55,6 @@ void MaacTrainer::batched_act(const rl::ObsBatch& batch, Rng* const* rngs,
   }
 }
 
-std::size_t MaacTrainer::sample_action(int agent, const std::vector<double>& obs,
-                                       Rng& rng, bool greedy) {
-  return actor_.act(actor_obs(obs, agent), rng, greedy);
-}
-
 void MaacTrainer::update(Rng& rng) {
   OBS_PHASE("update");
   if (!buffer_.ready(std::max(cfg_.batch, cfg_.warmup_steps))) return;
@@ -100,14 +67,14 @@ void MaacTrainer::update(Rng& rng) {
   // Fills actor_in_ with [obs ; onehot(agent)] rows for agent j's (next_)obs.
   auto fill_actor_in = [&](int j, bool next) {
     actor_in_.resize(B, obs_dim_ + N);
-    for_rows(B, [&](std::size_t b) {
+    for (std::size_t b = 0; b < B; ++b) {
       const auto& o = next ? batch[b]->next_obs[static_cast<std::size_t>(j)]
                            : batch[b]->obs[static_cast<std::size_t>(j)];
       double* row = actor_in_.row_ptr(b);
       std::copy(o.begin(), o.end(), row);
       for (std::size_t k = 0; k < N; ++k)
         row[obs_dim_ + k] = (static_cast<int>(k) == j) ? 1.0 : 0.0;
-    });
+    }
   };
 
   // Sample next actions for every agent from the current (shared) actor, and
@@ -141,18 +108,17 @@ void MaacTrainer::update(Rng& rng) {
   // Fills own_m_ / others_m_ for a focal agent from (next_)obs and actions.
   auto fill_own = [&](int i, bool next) {
     own_m_.resize(B, obs_dim_);
-    for_rows(B, [&](std::size_t b) {
+    for (std::size_t b = 0; b < B; ++b) {
       const auto& o = next ? batch[b]->next_obs[static_cast<std::size_t>(i)]
                            : batch[b]->obs[static_cast<std::size_t>(i)];
       std::copy(o.begin(), o.end(), own_m_.row_ptr(b));
-    });
+    }
   };
   auto fill_others = [&](int focal, auto obs_of, auto action_of) {
     others_m_.resize(m * B, obs_dim_ + A);
     others_m_.fill(0.0);
-    // Row index r = jj·B + b over the non-focal agents, flattened so every
-    // row is written by exactly one task.
-    for_rows(m * B, [&](std::size_t r) {
+    // Row index r = jj·B + b over the non-focal agents.
+    for (std::size_t r = 0; r < m * B; ++r) {
       const std::size_t jj = r / B;
       const std::size_t b = r % B;
       int j = static_cast<int>(jj);
@@ -161,7 +127,7 @@ void MaacTrainer::update(Rng& rng) {
       double* row = others_m_.row_ptr(r);
       std::copy(o.begin(), o.end(), row);
       row[obs_dim_ + action_of(j, b)] = 1.0;
-    });
+    }
   };
 
   // ----- critic update (all agents share one critic; grads accumulate) -----
@@ -177,13 +143,13 @@ void MaacTrainer::update(Rng& rng) {
         [&](int j, std::size_t b) { return next_actions_[static_cast<std::size_t>(j)][b]; });
     critic_target_->forward(own_m_, others_m_, tgt_pass_);
 
-    for_rows(B, [&](std::size_t b) {
+    for (std::size_t b = 0; b < B; ++b) {
       const std::size_t a_next = next_actions_[static_cast<std::size_t>(i)][b];
       const double soft_q = tgt_pass_.q(b, a_next) -
                             cfg_.alpha * next_logp_[static_cast<std::size_t>(i)][b];
       y_[b] = batch[b]->rewards[static_cast<std::size_t>(i)] +
               (batch[b]->done ? 0.0 : cfg_.gamma * soft_q);
-    });
+    }
 
     fill_own(i, /*next=*/false);
     for (std::size_t b = 0; b < B; ++b)
@@ -219,7 +185,7 @@ void MaacTrainer::update(Rng& rng) {
     nn::log_softmax_into(logits, logp_);
     dlogits_.resize(B, A);
     const double inv = 1.0 / static_cast<double>(B * N);
-    for_rows(B, [&](std::size_t b) {
+    for (std::size_t b = 0; b < B; ++b) {
       double mean_f = 0.0;
       for (std::size_t a = 0; a < A; ++a) {
         mean_f += probs_(b, a) * (pass_.q(b, a) - cfg_.alpha * logp_(b, a));
@@ -228,7 +194,7 @@ void MaacTrainer::update(Rng& rng) {
         const double f = pass_.q(b, a) - cfg_.alpha * logp_(b, a);
         dlogits_(b, a) = -probs_(b, a) * (f - mean_f) * inv;  // minimize −J
       }
-    });
+    }
     actor_.net().backward_params(dlogits_);
   }
   actor_.net().clip_grad_norm(cfg_.grad_clip);
@@ -237,51 +203,29 @@ void MaacTrainer::update(Rng& rng) {
   critic_target_->soft_update_from(*critic_, cfg_.tau);
 }
 
-void MaacTrainer::train(int episodes, Rng& rng, const EpisodeHook& hook) {
-  for (int ep = 0; ep < episodes; ++ep) {
-    OBS_PHASE("episode");
-    world_.reset(rng);
-    rl::EpisodeStats stats;
-
-    while (!world_.done()) {
-      Transition t;
-      t.obs.resize(static_cast<std::size_t>(n_));
-      t.actions.resize(static_cast<std::size_t>(n_));
-      std::vector<sim::TwistCmd> cmds;
-      for (int k = 0; k < n_; ++k) {
-        const int vi = world_.learners()[static_cast<std::size_t>(k)];
-        t.obs[static_cast<std::size_t>(k)] = baseline_obs(world_, vi);
-        t.actions[static_cast<std::size_t>(k)] =
-            sample_action(k, t.obs[static_cast<std::size_t>(k)], rng, /*greedy=*/false);
-        cmds.push_back(grid_.decode(t.actions[static_cast<std::size_t>(k)]));
-      }
-
-      auto result = world_.step(cmds, rng);
-      stats.team_reward += mean_of(result.reward);
-      if (result.collision) stats.collision = true;
-      ++total_steps_;
-
-      t.rewards = result.reward;
-      t.done = result.done;
-      t.next_obs.resize(static_cast<std::size_t>(n_));
-      for (int k = 0; k < n_; ++k) {
-        const int vi = world_.learners()[static_cast<std::size_t>(k)];
-        t.next_obs[static_cast<std::size_t>(k)] = baseline_obs(world_, vi);
-      }
-      buffer_.add(std::move(t));
-
-      if (total_steps_ % cfg_.update_every == 0) update(rng);
+void MaacTrainer::store_and_update(const rl::StepView& tick, Rng& rng) {
+  const std::size_t N = static_cast<std::size_t>(n_);
+  for (std::size_t s = 0; s < tick.before.count(); ++s) {
+    if (!tick.before.slot(s).active) continue;
+    Transition t;
+    for (int k = 0; k < n_; ++k) {
+      t.obs.push_back(baseline_row(tick.before, s, k));
+      t.actions.push_back(grid_.encode(tick.cmds[s * N + static_cast<std::size_t>(k)]));
+      t.next_obs.push_back(baseline_row(tick.after, s, k));
     }
-
-    stats.steps = world_.steps();
-    stats.success = !stats.collision &&
-                    world_.lane(scenario_.merger_index) == scenario_.merger_target_lane;
-    double speed = 0.0;
-    for (int vi : world_.learners()) speed += world_.mean_speed(vi);
-    stats.mean_speed = speed / static_cast<double>(world_.num_learners());
-    record_episode("maac", ep, stats);
-    if (hook) hook(ep, stats);
+    const double* reward = tick.result.reward.data() + s * N;
+    t.rewards.assign(reward, reward + N);
+    t.done = tick.result.done[s] != 0;
+    buffer_.add(std::move(t));
   }
+  ++total_steps_;
+  if (total_steps_ % cfg_.update_every == 0) update(rng);
+}
+
+void MaacTrainer::train(int episodes, Rng& rng, const EpisodeHook& hook) {
+  rl::EpisodeLoop loop = training_loop(*this, scenario_, "maac", hook);
+  loop.on_step = [&](const rl::StepView& tick) { store_and_update(tick, rng); };
+  run_training(loop, world_, cfg_.batch_envs, episodes, rng);
 }
 
 }  // namespace hero::algos

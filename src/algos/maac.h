@@ -15,7 +15,6 @@
 #include "nn/policy_heads.h"
 #include "rl/discretizer.h"
 #include "rl/replay_buffer.h"
-#include "runtime/thread_pool.h"
 
 namespace hero::algos {
 
@@ -30,6 +29,8 @@ class MaacTrainer : public rl::Controller {
  public:
   MaacTrainer(const sim::Scenario& scenario, const MaacConfig& cfg, Rng& rng);
 
+  // Runs `episodes` training episodes through the episode runner; invokes
+  // `hook` with the stats of every episode.
   void train(int episodes, Rng& rng, const EpisodeHook& hook = {});
 
   // rl::Controller (greedy when explore == false): one shared-actor forward
@@ -44,10 +45,6 @@ class MaacTrainer : public rl::Controller {
   sim::LaneWorld& world() { return world_; }
 
  private:
-  // act_rows_into body (the _into method stays allocation-free; scratch
-  // grows here on batch-shape changes only).
-  void batched_act(const rl::ObsBatch& batch, Rng* const* rngs, bool explore,
-                   sim::TwistCmd* cmds_out);
   struct Transition {
     std::vector<std::vector<double>> obs;
     std::vector<std::size_t> actions;
@@ -56,17 +53,10 @@ class MaacTrainer : public rl::Controller {
     bool done;
   };
 
-  // Observation with the agent-id one-hot appended (shared-actor input).
-  std::vector<double> actor_obs(const std::vector<double>& obs, int agent) const;
-  std::size_t sample_action(int agent, const std::vector<double>& obs, Rng& rng,
-                            bool greedy);
   void update(Rng& rng);
-  // Runs fn(i) for i in [0, n) — on the pool when num_workers > 1. Used for
-  // the minibatch-assembly loops (index-addressed row writes ⇒ results are
-  // bitwise identical at any worker count). The network passes stay serial:
-  // MAAC's actor and attention critic are shared across agents, and the
-  // critic accumulates gradients agent by agent.
-  void for_rows(std::size_t n, const std::function<void(std::size_t)>& fn);
+  // Step hook: stores each stepped lane's joint transition and runs the
+  // update clock.
+  void store_and_update(const rl::StepView& tick, Rng& rng);
 
   sim::Scenario scenario_;
   MaacConfig cfg_;
@@ -95,7 +85,6 @@ class MaacTrainer : public rl::Controller {
   nn::Matrix act_gather_, act_in_rows_, act_probs_;  // act_rows scratch
   std::vector<double> y_;
   std::vector<std::size_t> taken_;
-  std::unique_ptr<runtime::ThreadPool> pool_;  // null while num_workers <= 1
 };
 
 }  // namespace hero::algos

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 
-#include "common/stats.h"
 #include "nn/losses.h"
 #include "obs/obs.h"
-#include "rl/exploration.h"
 
 namespace hero::algos {
 
@@ -45,26 +43,19 @@ void MaddpgTrainer::for_agents(const std::function<void(std::size_t)>& fn) {
 
 void MaddpgTrainer::act_rows_into(const rl::ObsBatch& batch, Rng* const* rngs,
                                   bool explore, sim::TwistCmd* cmds_out) {
-  batched_act(batch, rngs, explore, cmds_out);
-}
-
-void MaddpgTrainer::batched_act(const rl::ObsBatch& batch, Rng* const* rngs,
-                                bool explore, sim::TwistCmd* cmds_out) {
   OBS_PHASE("act_rows");
   const int n = batch.num_learners();
   HERO_CHECK_MSG(n == n_, "batch has " << n << " learners, trainer has " << n_);
-  act_slots_.clear();
-  for (std::size_t s = 0; s < batch.count(); ++s) {
-    if (batch.slot(s).active) act_slots_.push_back(s);
-  }
+  active_slots(batch, act_slots_);
   if (act_slots_.empty()) return;
-  const std::vector<double> lo = primitive_lo();
-  const std::vector<double> hi = primitive_hi();
   for (int k = 0; k < n; ++k) {
+    auto& actor = actors_[static_cast<std::size_t>(k)];
+    const auto& lo = actor.lo();
+    const auto& hi = actor.hi();
     gather_baseline_rows(batch, k, act_slots_, act_obs_);
     // The forward buffer belongs to actor k and is fully consumed before the
     // next agent's forward.
-    const nn::Matrix& a = actors_[static_cast<std::size_t>(k)].forward(act_obs_);
+    const nn::Matrix& a = actor.forward(act_obs_);
     for (std::size_t r = 0; r < act_slots_.size(); ++r) {
       const std::size_t s = act_slots_[r];
       const double* row = a.row_ptr(r);
@@ -78,16 +69,6 @@ void MaddpgTrainer::batched_act(const rl::ObsBatch& batch, Rng* const* rngs,
           lin, ang};
     }
   }
-}
-
-std::vector<double> MaddpgTrainer::actor_action(int agent,
-                                                const std::vector<double>& obs,
-                                                Rng& rng, bool explore) {
-  std::vector<double> a = actors_[static_cast<std::size_t>(agent)].act1(obs);
-  if (explore) {
-    a = rl::gaussian_perturb(a, primitive_lo(), primitive_hi(), cfg_.act_noise, rng);
-  }
-  return a;
 }
 
 void MaddpgTrainer::update(Rng& rng) {
@@ -191,52 +172,30 @@ void MaddpgTrainer::update_agent(int i, const std::vector<const Transition*>& ba
   critic_targets_[ii].soft_update_from(critic, cfg_.tau);
 }
 
-void MaddpgTrainer::train(int episodes, Rng& rng, const EpisodeHook& hook) {
-  for (int ep = 0; ep < episodes; ++ep) {
-    OBS_PHASE("episode");
-    world_.reset(rng);
-    rl::EpisodeStats stats;
-
-    while (!world_.done()) {
-      Transition t;
-      t.obs.resize(static_cast<std::size_t>(n_));
-      t.actions.resize(static_cast<std::size_t>(n_));
-      std::vector<sim::TwistCmd> cmds;
-      for (int k = 0; k < n_; ++k) {
-        const int vi = world_.learners()[static_cast<std::size_t>(k)];
-        t.obs[static_cast<std::size_t>(k)] = baseline_obs(world_, vi);
-        t.actions[static_cast<std::size_t>(k)] =
-            actor_action(k, t.obs[static_cast<std::size_t>(k)], rng, /*explore=*/true);
-        cmds.push_back({t.actions[static_cast<std::size_t>(k)][0],
-                        t.actions[static_cast<std::size_t>(k)][1]});
-      }
-
-      auto result = world_.step(cmds, rng);
-      stats.team_reward += mean_of(result.reward);
-      if (result.collision) stats.collision = true;
-      ++total_steps_;
-
-      t.rewards = result.reward;
-      t.done = result.done;
-      t.next_obs.resize(static_cast<std::size_t>(n_));
-      for (int k = 0; k < n_; ++k) {
-        const int vi = world_.learners()[static_cast<std::size_t>(k)];
-        t.next_obs[static_cast<std::size_t>(k)] = baseline_obs(world_, vi);
-      }
-      buffer_.add(std::move(t));
-
-      if (total_steps_ % cfg_.update_every == 0) update(rng);
+void MaddpgTrainer::store_and_update(const rl::StepView& tick, Rng& rng) {
+  const std::size_t N = static_cast<std::size_t>(n_);
+  for (std::size_t s = 0; s < tick.before.count(); ++s) {
+    if (!tick.before.slot(s).active) continue;
+    Transition t;
+    for (int k = 0; k < n_; ++k) {
+      const sim::TwistCmd& cmd = tick.cmds[s * N + static_cast<std::size_t>(k)];
+      t.obs.push_back(baseline_row(tick.before, s, k));
+      t.actions.push_back({cmd.linear, cmd.angular});
+      t.next_obs.push_back(baseline_row(tick.after, s, k));
     }
-
-    stats.steps = world_.steps();
-    stats.success = !stats.collision &&
-                    world_.lane(scenario_.merger_index) == scenario_.merger_target_lane;
-    double speed = 0.0;
-    for (int vi : world_.learners()) speed += world_.mean_speed(vi);
-    stats.mean_speed = speed / static_cast<double>(world_.num_learners());
-    record_episode("maddpg", ep, stats);
-    if (hook) hook(ep, stats);
+    const double* reward = tick.result.reward.data() + s * N;
+    t.rewards.assign(reward, reward + N);
+    t.done = tick.result.done[s] != 0;
+    buffer_.add(std::move(t));
   }
+  ++total_steps_;
+  if (total_steps_ % cfg_.update_every == 0) update(rng);
+}
+
+void MaddpgTrainer::train(int episodes, Rng& rng, const EpisodeHook& hook) {
+  rl::EpisodeLoop loop = training_loop(*this, scenario_, "maddpg", hook);
+  loop.on_step = [&](const rl::StepView& tick) { store_and_update(tick, rng); };
+  run_training(loop, world_, cfg_.batch_envs, episodes, rng);
 }
 
 }  // namespace hero::algos

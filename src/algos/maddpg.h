@@ -16,12 +16,21 @@
 
 namespace hero::algos {
 
-struct MaddpgConfig : TrainConfig {};
+struct MaddpgConfig : TrainConfig {
+  // Worker threads for the per-agent update phase (runtime::ThreadPool).
+  // The one minibatch is drawn before the fan-out and each agent's critic
+  // and actor step writes only agent-indexed state, so results are bitwise
+  // identical to num_workers == 1 at any worker count
+  // (docs/PARALLELISM.md §Baselines).
+  int num_workers = 1;
+};
 
 class MaddpgTrainer : public rl::Controller {
  public:
   MaddpgTrainer(const sim::Scenario& scenario, const MaddpgConfig& cfg, Rng& rng);
 
+  // Runs `episodes` training episodes through the episode runner; invokes
+  // `hook` with the stats of every episode.
   void train(int episodes, Rng& rng, const EpisodeHook& hook = {});
 
   // rl::Controller (greedy when explore == false): one actor forward per
@@ -35,10 +44,6 @@ class MaddpgTrainer : public rl::Controller {
   sim::LaneWorld& world() { return world_; }
 
  private:
-  // act_rows_into body (the _into method stays allocation-free; scratch
-  // grows here on batch-shape changes only).
-  void batched_act(const rl::ObsBatch& batch, Rng* const* rngs, bool explore,
-                   sim::TwistCmd* cmds_out);
   struct Transition {
     std::vector<std::vector<double>> obs;      // per agent
     std::vector<std::vector<double>> actions;  // per agent
@@ -54,15 +59,16 @@ class MaddpgTrainer : public rl::Controller {
     nn::Matrix target, q_grad, dq, da, mixed_in;
   };
 
-  std::vector<double> actor_action(int agent, const std::vector<double>& obs,
-                                   Rng& rng, bool explore);
   // Agent i's critic regression + actor ascent + target soft updates for an
   // already-assembled joint batch. No RNG; reads only the shared read-only
   // joint matrices and writes agent-indexed state.
   void update_agent(int i, const std::vector<const Transition*>& batch);
   void update(Rng& rng);
+  // Step hook: stores each stepped lane's joint transition (the executed
+  // commands as actions) and runs the update clock.
+  void store_and_update(const rl::StepView& tick, Rng& rng);
   // Runs fn(i) for every agent — on the pool when num_workers > 1
-  // (bitwise-identical results either way; see TrainConfig::num_workers).
+  // (bitwise-identical results either way; see MaddpgConfig::num_workers).
   void for_agents(const std::function<void(std::size_t)>& fn);
 
   sim::Scenario scenario_;

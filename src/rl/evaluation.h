@@ -1,7 +1,6 @@
-// Shared episode-rollout and evaluation harness.
-//
-// Computes the paper's four metrics (Sec. V-B): mean episode reward,
-// collision rate, lane-merge success rate, and mean speed.
+// Evaluation harness: scores any controller on the paper's four metrics
+// (Sec. V-B): mean episode reward, collision rate, lane-merge success rate,
+// and mean speed.
 #pragma once
 
 #include <cstdint>
@@ -27,23 +26,21 @@ struct EvalSummary {
   int episodes = 0;
 };
 
-// Rolls one episode of `world` under `controller`. Success is judged against
-// the scenario's merger vehicle / target lane.
-EpisodeStats run_episode(sim::LaneWorld& world, Controller& controller, Rng& rng,
-                         bool explore, int merger_index, int merger_target_lane);
-
-// Greedy evaluation over `episodes` fresh episodes.
+// Greedy evaluation over `episodes` fresh episodes of `world`, one at a
+// time, every draw from `rng` (rl/episode_runner.h).
 EvalSummary evaluate(sim::LaneWorld& world, Controller& controller, Rng& rng,
                      int episodes, int merger_index, int merger_target_lane);
 
-// Batch-first greedy evaluation through Controller::act_rows_into: up to
-// `batch` episodes advance in lockstep over independent worlds, so every
-// per-step network evaluation of a batched controller runs once per tick
-// instead of once per episode. Episode e draws all of its randomness from
-// the counter-based stream stream_rng(root_seed, e) and greedy selection is
+// Batch-first greedy evaluation: up to `batch` episodes advance in lockstep
+// as the lanes of one sim::BatchLaneWorld, so every per-step network
+// evaluation of a batched controller runs once per tick instead of once
+// per episode. Episode e draws all of its randomness from the
+// counter-based stream stream_rng(root_seed, e) and greedy selection is
 // draw-free, so the per-episode results are invariant to the batch width —
-// evaluate_batch(.., batch=1, ..) and batch=16 score identical episodes
-// (docs/SERVING.md, "Batched evaluation").
+// evaluate_batch(.., batch=1, ..) and batch=16 score identical episodes,
+// and evaluate() from a copy of stream_rng(root_seed, 0) scores episode 0
+// identically (docs/SERVING.md, "Batched evaluation"). Both run through
+// the one episode loop (rl/episode_runner.h).
 EvalSummary evaluate_batch(const sim::LaneWorldConfig& world_cfg,
                            Controller& controller, std::uint64_t root_seed,
                            int episodes, int batch, int merger_index,

@@ -57,8 +57,10 @@ class LaneWorld {
   }
 
   // The engine behind this view; the environment is its env 0. Batch-first
-  // extraction (rl::ObsBatch::set_slot_from_world) reads it.
+  // extraction (rl::ObsBatch::set_slot_from_world) reads it, and the
+  // episode runner (rl/episode_runner.h) resets and steps it.
   const BatchLaneWorld& batch_world() const { return world_; }
+  BatchLaneWorld& batch_world() { return world_; }
 
   // --- inspection ---
   VehicleState state(int i) const { return world_.state(0, i); }

@@ -197,10 +197,10 @@ TEST(Maac, TrainsAndActs) {
   EXPECT_EQ(cmds.size(), 3u);
 }
 
-// The baselines' num_workers option parallelizes minibatch assembly and the
-// independent per-agent updates; every RNG draw happens serially in agent
-// order before the fan-out and workers write only index-addressed state, so
-// the parallel path must reproduce the serial path bit for bit.
+// DQN's and MADDPG's num_workers option fans the independent per-agent
+// updates out onto a pool; every RNG draw happens serially in agent order
+// before the fan-out and workers write only index-addressed state, so the
+// parallel path must reproduce the serial path bit for bit.
 template <typename Trainer, typename Config>
 std::vector<double> reward_trace(const Config& cfg, unsigned seed, int episodes) {
   Rng rng(seed);
@@ -210,6 +210,29 @@ std::vector<double> reward_trace(const Config& cfg, unsigned seed, int episodes)
     rewards.push_back(s.team_reward);
   });
   return rewards;
+}
+
+// Every trainer collects through the episode runner, so batch_envs > 0 is
+// honored by all four: the lockstep path is keyed to (seed, batch_envs) —
+// same pair, same trace; a different keying than batch_envs == 0 — and
+// hooks fire in canonical episode order across rounds.
+template <typename Trainer, typename Config>
+void expect_batched_collection_reproducible_and_ordered(Config cfg) {
+  cfg.batch_envs = 3;
+  const std::vector<double> batched = reward_trace<Trainer>(cfg, 42, 5);
+  EXPECT_EQ(batched, (reward_trace<Trainer>(cfg, 42, 5)));
+  Config one_at_a_time = cfg;
+  one_at_a_time.batch_envs = 0;
+  EXPECT_NE(batched, (reward_trace<Trainer>(one_at_a_time, 42, 5)));
+
+  Rng rng(43);
+  Trainer t(small_scenario(), cfg, rng);
+  std::vector<int> order;
+  t.train(5, rng, [&](int ep, const rl::EpisodeStats& s) {
+    order.push_back(ep);
+    EXPECT_GT(s.steps, 0);
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(IndependentDqn, ParallelUpdatesMatchSerialBitwise) {
@@ -249,23 +272,23 @@ TEST(Maddpg, ParallelUpdatesMatchSerialBitwise) {
             (reward_trace<MaddpgTrainer>(parallel, 42, 4)));
 }
 
-TEST(Coma, ParallelAssemblyMatchesSerialBitwise) {
-  ComaConfig serial;
-  ComaConfig parallel = serial;
-  parallel.num_workers = 3;
-  EXPECT_EQ((reward_trace<ComaTrainer>(serial, 42, 4)),
-            (reward_trace<ComaTrainer>(parallel, 42, 4)));
+TEST(Maddpg, BatchedCollectionIsReproducibleAndOrdered) {
+  MaddpgConfig cfg;
+  cfg.batch = 32;
+  cfg.warmup_steps = 64;
+  expect_batched_collection_reproducible_and_ordered<MaddpgTrainer>(cfg);
 }
 
-TEST(Maac, ParallelAssemblyMatchesSerialBitwise) {
-  MaacConfig serial;
-  serial.batch = 16;
-  serial.warmup_steps = 32;
-  serial.embed_dim = 16;
-  MaacConfig parallel = serial;
-  parallel.num_workers = 3;
-  EXPECT_EQ((reward_trace<MaacTrainer>(serial, 42, 3)),
-            (reward_trace<MaacTrainer>(parallel, 42, 3)));
+TEST(Coma, BatchedCollectionIsReproducibleAndOrdered) {
+  expect_batched_collection_reproducible_and_ordered<ComaTrainer>(ComaConfig{});
+}
+
+TEST(Maac, BatchedCollectionIsReproducibleAndOrdered) {
+  MaacConfig cfg;
+  cfg.batch = 16;
+  cfg.warmup_steps = 32;
+  cfg.embed_dim = 16;
+  expect_batched_collection_reproducible_and_ordered<MaacTrainer>(cfg);
 }
 
 // Determinism: identical seeds must reproduce identical training traces.

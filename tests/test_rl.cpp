@@ -1,14 +1,18 @@
 // Tests for the RL infrastructure: replay buffer, exploration schedules and
-// noise, the discrete action grid, and the shared evaluation harness.
+// noise, the discrete action grid, and the shared episode loop and
+// evaluation harness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 
+#include "algos/dqn.h"
 #include "rl/discretizer.h"
+#include "rl/episode_runner.h"
 #include "rl/evaluation.h"
 #include "rl/exploration.h"
 #include "rl/replay_buffer.h"
+#include "runtime/rng_stream.h"
 #include "sim/scenario.h"
 
 namespace hero::rl {
@@ -256,13 +260,49 @@ TEST(Evaluation, EpisodeStatsStepsAndReward) {
   sim::LaneWorld world(sc.config);
   ConstantController crawl({0.04, 0.0});
   Rng rng(9);
-  auto ep = run_episode(world, crawl, rng, /*explore=*/false, sc.merger_index,
-                        sc.merger_target_lane);
+  EpisodeLoop loop;
+  loop.controller = &crawl;
+  loop.merger_index = sc.merger_index;
+  loop.merger_target_lane = sc.merger_target_lane;
+  std::vector<EpisodeStats> episodes;
+  loop.on_episode = [&](int, std::size_t, const EpisodeStats& s) {
+    episodes.push_back(s);
+  };
+  run_episodes(loop, world.batch_world(), rng, 1);
+  ASSERT_EQ(episodes.size(), 1u);
+  const EpisodeStats& ep = episodes[0];
   EXPECT_EQ(ep.steps, sc.config.max_steps);
   EXPECT_FALSE(ep.collision);
   // Crawling earns small positive travel reward every step.
   EXPECT_GT(ep.team_reward, 0.0);
   EXPECT_LT(ep.team_reward, 5.0);
+}
+
+// evaluate() and evaluate_batch() are two keyings of one episode loop: the
+// lone episode of evaluate_batch(root, 1 episode, width 1) draws from
+// stream_rng(root, 0), so evaluate() from a copy of that stream must score
+// it bit for bit — on the shifted world too, where the sensor, actuation
+// and dynamics noise all draw from that one stream. The controller reads
+// its (noisy) observations: an untrained DQN.
+TEST(Evaluation, EvaluateAndEvaluateBatchShareOneLoop) {
+  auto sc = sim::cooperative_lane_change();
+  Rng init(11);
+  algos::IndependentDqnTrainer dqn(sc, algos::DqnConfig{}, init);
+  const std::uint64_t root = 1234;
+  for (const sim::LaneWorldConfig& cfg :
+       {sc.config, sim::with_real_world_shift(sc.config)}) {
+    sim::LaneWorld world(cfg);
+    Rng rng = runtime::stream_rng(root, 0);
+    const EvalSummary a = evaluate(world, dqn, rng, 1, sc.merger_index,
+                                   sc.merger_target_lane);
+    const EvalSummary b = evaluate_batch(cfg, dqn, root, 1, 1, sc.merger_index,
+                                         sc.merger_target_lane);
+    EXPECT_EQ(a.mean_reward, b.mean_reward);  // bitwise
+    EXPECT_EQ(a.collision_rate, b.collision_rate);
+    EXPECT_EQ(a.success_rate, b.success_rate);
+    EXPECT_EQ(a.mean_speed, b.mean_speed);
+    EXPECT_EQ(a.episodes, b.episodes);
+  }
 }
 
 }  // namespace
