@@ -1,8 +1,8 @@
 // HeroActEngine: the one action path of the HERO policy (docs/SERVING.md,
-// docs/BATCHING.md). The stage-2 training rollout, in-process evaluation
-// (HeroTrainer::act_rows_into, and Controller::act as its batch of one) and
-// the policy server all act through it; no other code terminates, selects or
-// executes HERO options.
+// docs/BATCHING.md). Stage-2 training and in-process evaluation (both
+// through HeroTrainer::act_rows_into, with Controller::act its batch of one)
+// and the policy server all act through it; no other code terminates,
+// selects or executes HERO options.
 //
 // One act_rows() call advances every active slot of an rl::ObsBatch by one
 // control tick with three batched network stages:
@@ -26,8 +26,9 @@
 // The engine owns only scratch and what the last call selected; the model
 // (skill bank + agents) and the per-slot session state are passed per call,
 // so a checkpoint hot-reload can swap the model under the engine without
-// touching in-flight sessions. Training reads the selections back
-// (selected(), opp_block()) to build its semi-MDP transitions.
+// touching in-flight sessions. Stage 2's step hook (BatchedRollout) reads the
+// selections back (selected(), opp_block()) to build its semi-MDP
+// transitions.
 #pragma once
 
 #include <memory>
@@ -40,8 +41,8 @@
 namespace hero::core {
 
 // Per-slot session state: the option bookkeeping of one episode. Owned by
-// the caller — BatchedRollout keeps one per lane, HeroTrainer keys them by
-// slot for evaluation, the policy server keys them by client session.
+// the caller — HeroTrainer keys them by slot for training and evaluation,
+// the policy server keys them by client session.
 struct HeroSession {
   struct AgentState {
     OptionExecution exec;

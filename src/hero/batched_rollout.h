@@ -1,48 +1,39 @@
-// Stage-2 collection (paper Algorithm 1): E episodes advance in lockstep
-// through one BatchLaneWorld, and every per-step network evaluation —
-// opponent-model prediction, high-level actor softmax, skill-policy action —
-// runs as a single batch=E forward instead of E single-row dispatches
-// (docs/BATCHING.md). HeroTrainer::train collects only through this class;
-// width 1 is one episode at a time.
+// Stage-2 collection's step hook (paper Algorithm 1). HeroTrainer::train
+// runs its episodes through rl::run_episodes, E lanes in lockstep with the
+// trainer itself as the exploring controller, so every per-step network
+// evaluation (opponent-model prediction, high-level actor softmax,
+// skill-policy action) is one batch=E forward of the trainer's
+// HeroActEngine (docs/BATCHING.md). Width 1 is one episode at a time.
 //
-// Each step extracts every live lane into one rl::ObsBatch slot and acts
-// through HeroActEngine with explore on — the same action path evaluation
-// and serving use — with one HeroSession per lane. What the rollout adds is
-// what only training needs: the pending semi-MDP transitions (opened and
-// closed where the engine selected), discounted reward accumulation, the
-// opponent labels of every step and the prediction scoreboard. Draws come
-// from the counter-based episode stream stream_rng(root, episode), so a run
-// is bitwise reproducible for a fixed (seed, batch_envs) pair. Collected
-// experience is staged per lane and merged by the trainer in lane order —
-// which IS canonical episode order, so no reordering step exists to get
-// wrong.
+// What this class adds to the loop is what only training needs. After each
+// tick it reads the engine's selections and turns them into pending
+// semi-MDP transitions (opened and closed where an option was selected),
+// accumulates the step's discounted rewards into them, stages the opponent
+// labels of the step from the post-step rows and keeps the prediction
+// scoreboard. Experience is staged per lane and merged by the trainer in
+// lane order, which IS canonical episode order, so no reordering step
+// exists to get wrong.
 //
-// The rollout only *reads* the learner's networks (actor, opponent
-// predictors, frozen skills); all replay buffers are filled at merge time
-// by HeroTrainer::train. Single-threaded by design: batching, not
-// threading, is the throughput lever here (docs/PARALLELISM.md).
+// The hook reads the engine's selections and never touches the learner;
+// all replay buffers are filled at merge time by HeroTrainer::train.
+// Single-threaded by design: batching, not threading, is the throughput
+// lever here (docs/PARALLELISM.md).
 #pragma once
 
-#include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "hero/act_engine.h"
-#include "rl/evaluation.h"
-#include "runtime/batch_rollout.h"
-#include "sim/batch_lane_world.h"
-#include "sim/scenario.h"
+#include "rl/episode_runner.h"
 
 namespace hero::core {
 
-// One finished episode's staged experience, in the exact shapes the
-// trainer's merge consumes.
+// One episode's staged experience, in the exact shapes the trainer's merge
+// consumes. Its EpisodeStats come from the loop (rl::EpisodeLoop::on_episode).
 struct BatchedEpisode {
-  rl::EpisodeStats stats;
   long switches = 0;
   long opp_total = 0;
   long opp_correct = 0;
-  // Per agent: Δ ε-schedule position over this episode.
+  // Per agent: Δ ε-schedule position over this episode (its selections).
   std::vector<long> selections;
   // Per agent: semi-MDP transitions in store order (FIFO).
   std::vector<std::vector<OptionTransition>> high;
@@ -52,28 +43,22 @@ struct BatchedEpisode {
 
 class BatchedRollout {
  public:
-  // Holds references to the learner's skill bank and agents; both must
-  // outlive the rollout (HeroTrainer owns all three).
-  BatchedRollout(const sim::Scenario& scenario, const HighLevelConfig& high,
-                 const TerminationConfig& term, SkillBank& skills,
-                 std::vector<std::unique_ptr<HeroAgent>>& agents, int num_envs);
+  // Takes the discount and the opponent-model ablation from `high`.
+  explicit BatchedRollout(const HighLevelConfig& high)
+      : gamma_(high.gamma), use_opponent_model_(high.use_opponent_model) {}
 
-  // Runs episodes [first, first + count) to completion (count ≤ num_envs).
-  // `observing` enables the opponent-prediction scoreboard (metrics or
-  // telemetry on). Results are readable via episode(i) until the next round.
-  void run_round(std::uint64_t root, std::size_t first, std::size_t count,
-                 bool observing);
+  // Folds one tick into the episodes of the lanes that stepped. `engine`
+  // made the tick's act_rows call over tick.before with sessions[lane] for
+  // lane `lane`. `observing` enables the opponent-prediction scoreboard
+  // (metrics or telemetry on). A lane's episode is complete once its done
+  // tick has been folded.
+  void on_step(const rl::StepView& tick, const HeroActEngine& engine,
+               const std::vector<HeroSession>& sessions, bool observing);
 
-  // Episode `first + i` of the last round. Mutable so the merge can move the
-  // staged transitions out instead of copying.
-  BatchedEpisode& episode(std::size_t i) { return episodes_[i]; }
-
-  // Synchronized batch steps executed by the last round — the trainer's
-  // gradient-update clock: one update round per `update_every` *batch
-  // steps*. One batch step advances every live lane, so at E lanes that is
-  // ~E× fewer gradient rounds per environment step than at width 1
-  // (standard vectorized-RL semantics).
-  long round_batch_steps() const { return round_batch_steps_; }
+  // The episode of lane `lane`, readable until that lane's next episode
+  // starts. Mutable so the merge can move the staged transitions out
+  // instead of copying.
+  BatchedEpisode& episode(std::size_t lane) { return episodes_[lane]; }
 
  private:
   // Per-(lane, agent) training bookkeeping: the pending semi-MDP transition
@@ -95,38 +80,26 @@ class BatchedRollout {
   }
 
   void begin_lane(std::size_t lane);
-  void step_once(bool observing);
+  // Turns the engine's selections in `lane` this tick into transitions: a
+  // re-selection closes the pending one, every selection opens a new one.
+  // `rows` is the tick's pre-step batch, `held` the options after the tick.
+  void record_selections(std::size_t lane, const rl::ObsBatch& rows,
+                         const HeroActEngine& engine, const std::vector<int>& held);
   // Stages the opponent labels implied by the obs row of (lane, k) and the
   // options held during the step just taken; scores the cached predictions.
   void stage_opp_labels(std::size_t lane, int k, const double* obs_row,
                         bool observing);
-  // Turns the engine's selections in `lane` this tick into transitions: a
-  // re-selection closes the pending one, every selection opens a new one.
-  void record_selections(std::size_t lane);
-  void finish_lane(std::size_t lane, bool observing);
+  // Stores (lane, k)'s pending transition, ending at `next_obs`.
+  void close_pending(std::size_t lane, int k, const double* next_obs, bool done);
 
-  sim::Scenario scenario_;
-  HighLevelConfig high_cfg_;
-  TerminationConfig term_;
-  SkillBank& skills_;
-  std::vector<std::unique_ptr<HeroAgent>>& agents_;
-  int n_ = 0;  // learners per env
-  int E_ = 0;
-
-  sim::BatchLaneWorld world_;
-  runtime::BatchRoundScheduler sched_;
-  long round_batch_steps_ = 0;
-
-  HeroActEngine engine_;
-  rl::ObsBatch batch_;                     // slot = lane
-  std::vector<HeroSession> sessions_;      // per lane
-  std::vector<HeroSession*> session_ptrs_;
+  double gamma_;
+  bool use_opponent_model_;
+  int n_ = 0;                // learners per env
+  std::size_t hl_dim_ = 0;
 
   std::vector<BatchedEpisode> episodes_;   // lane-indexed
   std::vector<LaneAgent> lane_agents_;     // lane-major (la_index)
   std::vector<int> options_;               // lane-major: held during the last step
-  std::vector<sim::TwistCmd> cmds_;        // lane-major learner commands
-  sim::BatchStepResult step_out_;
 };
 
 }  // namespace hero::core

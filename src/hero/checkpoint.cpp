@@ -1,6 +1,8 @@
 #include "hero/checkpoint.h"
 
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -33,6 +35,65 @@ void append_escaped(std::string& out, const std::string& s) {
 
 [[noreturn]] void manifest_error(const std::string& path, const std::string& what) {
   throw std::runtime_error("checkpoint manifest " + path + ": " + what);
+}
+
+// "34:32:32:4" → {34, 32, 32, 4}; throws on anything else, including a
+// width past size_t, with a message that starts with `where`.
+std::vector<std::size_t> parse_dims(const std::string& where, const std::string& name,
+                                    const std::string& s) {
+  const auto reject = [&](const char* what) {
+    throw std::runtime_error(where + ": " + what + " shape for \"" + name + "\": \"" +
+                             s + "\"");
+  };
+  std::vector<std::size_t> dims;
+  std::size_t value = 0;
+  bool in_number = false;
+  for (char ch : s) {
+    if (ch >= '0' && ch <= '9') {
+      const auto digit = static_cast<std::size_t>(ch - '0');
+      if (value > (std::numeric_limits<std::size_t>::max() - digit) / 10) {
+        reject("overflowing");
+      }
+      value = value * 10 + digit;
+      in_number = true;
+    } else if (ch == ':' && in_number) {
+      dims.push_back(value);
+      value = 0;
+      in_number = false;
+    } else {
+      reject("malformed");
+    }
+  }
+  if (in_number) dims.push_back(value);
+  if (dims.size() < 2) reject("malformed");
+  return dims;
+}
+
+// The hidden widths are every layer but the first (input) and last (output).
+std::vector<std::size_t> hidden_of(const std::string& name, const std::string& shape) {
+  const auto dims = parse_dims("checkpoint manifest", name, shape);
+  return {dims.begin() + 1, dims.end() - 1};
+}
+
+// Whether an Mlp of layer widths `dims` holds at most `cap` parameters: per
+// layer an (in × out) weight and an out-wide bias. Never overflows.
+bool params_within(const std::vector<std::size_t>& dims, std::size_t cap) {
+  std::size_t total = 0;
+  for (std::size_t i = 0; i + 1 < dims.size(); ++i) {
+    const std::size_t out = dims[i + 1];
+    if (out == 0) continue;
+    if (dims[i] >= cap / out) return false;  // (in + 1)·out > cap
+    const std::size_t layer = (dims[i] + 1) * out;
+    if (layer > cap - total) return false;
+    total += layer;
+  }
+  return true;
+}
+
+// "agent<k>_actor": one learner's high-level actor.
+bool is_agent_actor(const std::string& name) {
+  return name.size() > 11 && name.rfind("agent", 0) == 0 &&
+         name.compare(name.size() - 6, 6, "_actor") == 0;
 }
 
 }  // namespace
@@ -159,6 +220,29 @@ bool read_manifest(const std::string& dir, CheckpointManifest* out) {
     }
     m.shapes[name] = shape.str_v;
   }
+  // Callers size models from this manifest before any tensor is read, so
+  // its numbers are bounded here by the checkpoint's own bytes: a net holds
+  // no more parameters than its tensor file has values (each takes a digit
+  // and a separator), and every learner needs its actor's shape.
+  int actors = 0;
+  for (const auto& [name, shape] : m.shapes) {
+    const std::string tensors = dir + "/" + name + ".ckpt";
+    std::error_code ec;
+    const std::uintmax_t bytes = std::filesystem::file_size(tensors, ec);
+    const std::size_t cap = ec ? 0 : static_cast<std::size_t>(bytes / 2);
+    if (!params_within(parse_dims("checkpoint manifest " + path, name, shape), cap)) {
+      const std::string held = ec ? "missing" : std::to_string(bytes) + " bytes";
+      manifest_error(path, "shape of \"" + name + "\" (" + shape +
+                               ") needs more parameters than " + tensors + " (" + held +
+                               ") can hold");
+    }
+    if (is_agent_actor(name)) ++actors;
+  }
+  if (m.learners < 1 || m.learners > actors) {
+    manifest_error(path, "field \"learners\" is " + std::to_string(m.learners) +
+                             ", outside 1.." + std::to_string(actors) +
+                             " (the agent<k>_actor shapes listed)");
+  }
   *out = m;
   return true;
 }
@@ -239,44 +323,6 @@ CheckpointManifest load_checkpoint(HeroTrainer& trainer, const std::string& dir,
   trainer.load(dir);
   return has_manifest ? on_disk : expected;
 }
-
-namespace {
-
-// "34:32:32:4" → {34, 32, 32, 4}; throws on anything else.
-std::vector<std::size_t> parse_dims(const std::string& name,
-                                    const std::string& s) {
-  std::vector<std::size_t> dims;
-  std::size_t value = 0;
-  bool in_number = false;
-  for (char ch : s) {
-    if (ch >= '0' && ch <= '9') {
-      value = value * 10 + static_cast<std::size_t>(ch - '0');
-      in_number = true;
-    } else if (ch == ':' && in_number) {
-      dims.push_back(value);
-      value = 0;
-      in_number = false;
-    } else {
-      throw std::runtime_error("checkpoint manifest: malformed shape for \"" +
-                               name + "\": \"" + s + "\"");
-    }
-  }
-  if (in_number) dims.push_back(value);
-  if (dims.size() < 2) {
-    throw std::runtime_error("checkpoint manifest: malformed shape for \"" +
-                             name + "\": \"" + s + "\"");
-  }
-  return dims;
-}
-
-// The hidden widths are every layer but the first (input) and last (output).
-std::vector<std::size_t> hidden_of(const std::string& name,
-                                   const std::string& shape) {
-  const auto dims = parse_dims(name, shape);
-  return {dims.begin() + 1, dims.end() - 1};
-}
-
-}  // namespace
 
 void apply_manifest_geometry(const CheckpointManifest& m, HeroConfig* cfg) {
   for (const auto& [name, shape] : m.shapes) {

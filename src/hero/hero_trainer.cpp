@@ -7,6 +7,7 @@
 #include "hero/checkpoint.h"
 #include "nn/serialize.h"
 #include "obs/obs.h"
+#include "rl/episode_runner.h"
 #include "sim/scenario.h"
 
 namespace hero::core {
@@ -188,105 +189,113 @@ void HeroTrainer::emit_episode_obs(int episode, const rl::EpisodeStats& stats,
 
 void HeroTrainer::train(int episodes, Rng& rng, const algos::EpisodeHook& hook) {
   OBS_PHASE("stage2");
-  const int n = static_cast<int>(agents_.size());
   const int envs = std::max(cfg_.batch_envs, 1);
   // One engine draw keys the whole call: the caller's rng advances
   // identically however many episodes follow.
   const std::uint64_t root = rng.engine()();
-  if (!batched_) {
-    batched_ = std::make_unique<BatchedRollout>(scenario_, cfg_.high,
-                                                cfg_.skill.termination, skills_,
-                                                agents_, envs);
-  }
-  std::vector<AgentUpdateStats> update_stats(static_cast<std::size_t>(n));
+  if (!lanes_) lanes_ = std::make_unique<sim::BatchLaneWorld>(scenario_.config, envs);
 
-  int done_eps = 0;
-  while (done_eps < episodes) {
-    const std::size_t round = std::min<std::size_t>(
-        static_cast<std::size_t>(envs), static_cast<std::size_t>(episodes - done_eps));
-    const bool observing = obs::metrics_enabled() || obs::telemetry_enabled();
-    const double round_start_us = observing ? obs::now_us() : 0.0;
-    batched_->run_round(root, static_cast<std::size_t>(done_eps), round, observing);
+  // Read at each round's start: here for the first, after each round's
+  // report for the next.
+  bool observing = obs::metrics_enabled() || obs::telemetry_enabled();
+  double round_start_us = observing ? obs::now_us() : 0.0;
+  std::vector<rl::EpisodeStats> round(static_cast<std::size_t>(envs));
 
-    {
-      OBS_PHASE("learn");
-      // Merge in lane order == canonical episode order: replay stores
-      // agent-major FIFO, opponent labels (agent, opponent)-major FIFO.
-      long round_steps = 0;
-      {
-        OBS_PHASE("merge");
-        for (std::size_t e = 0; e < round; ++e) {
-          BatchedEpisode& col = batched_->episode(e);
-          for (int k = 0; k < n; ++k) {
-            auto& hl = agents_[static_cast<std::size_t>(k)]->high_level();
-            for (auto& t : col.high[static_cast<std::size_t>(k)]) {
-              hl.store(std::move(t));
-            }
-            auto& om = agents_[static_cast<std::size_t>(k)]->opponents();
-            for (int j = 0; j < n - 1; ++j) {
-              auto& samples =
-                  col.opp[static_cast<std::size_t>(k) * static_cast<std::size_t>(n - 1) +
-                          static_cast<std::size_t>(j)];
-              for (auto& s : samples) {
-                om.observe(j, std::move(s.obs), option_from_index(s.option));
-              }
-            }
-            hl.set_selections(hl.selections() +
-                              col.selections[static_cast<std::size_t>(k)]);
+  rl::EpisodeLoop loop;
+  loop.controller = this;
+  loop.explore = true;
+  loop.merger_index = scenario_.merger_index;
+  loop.merger_target_lane = scenario_.merger_target_lane;
+  loop.on_step = [&](const rl::StepView& tick) {
+    ++pending_update_steps_;  // the gradient clock counts batch steps
+    OBS_PHASE("accumulate");
+    rollout_.on_step(tick, *act_engine_, act_sessions_, observing);
+  };
+  loop.on_episode = [&](int episode, std::size_t lane, const rl::EpisodeStats& stats) {
+    round[lane] = stats;
+    if (episode + 1 < episodes && lane + 1 < round.size()) return;
+    learn_round(episode - static_cast<int>(lane), round, lane + 1, rng, hook, observing,
+                round_start_us);
+    observing = obs::metrics_enabled() || obs::telemetry_enabled();
+    round_start_us = observing ? obs::now_us() : 0.0;
+  };
+  rl::run_episodes(loop, *lanes_, root, episodes);
+}
+
+void HeroTrainer::learn_round(int first, const std::vector<rl::EpisodeStats>& stats,
+                              std::size_t count, Rng& rng,
+                              const algos::EpisodeHook& hook, bool observing,
+                              double round_start_us) {
+  OBS_PHASE("learn");
+  const int n = static_cast<int>(agents_.size());
+  // Merge in lane order == canonical episode order: replay stores
+  // agent-major FIFO, opponent labels (agent, opponent)-major FIFO.
+  long round_steps = 0;
+  {
+    OBS_PHASE("merge");
+    for (std::size_t e = 0; e < count; ++e) {
+      BatchedEpisode& col = rollout_.episode(e);
+      for (int k = 0; k < n; ++k) {
+        auto& hl = agents_[static_cast<std::size_t>(k)]->high_level();
+        for (auto& t : col.high[static_cast<std::size_t>(k)]) hl.store(std::move(t));
+        auto& om = agents_[static_cast<std::size_t>(k)]->opponents();
+        for (int j = 0; j < n - 1; ++j) {
+          auto& samples =
+              col.opp[static_cast<std::size_t>(k) * static_cast<std::size_t>(n - 1) +
+                      static_cast<std::size_t>(j)];
+          for (auto& s : samples) {
+            om.observe(j, std::move(s.obs), option_from_index(s.option));
           }
-          round_steps += col.stats.steps;
         }
-        total_steps_ += round_steps;
+        hl.set_selections(hl.selections() + col.selections[static_cast<std::size_t>(k)]);
       }
-
-      // Gradient cadence in synchronized *batch* steps — the batching
-      // throughput lever (docs/BATCHING.md §cadence): one batch step advanced
-      // every live lane, so at batch_envs = E this runs ~E× fewer update
-      // rounds per environment step than one lane does, with the remainder
-      // carried across rounds.
-      RunningStat critic_loss, actor_entropy, critic_gn, actor_gn, opp_loss;
-      pending_update_steps_ += batched_->round_batch_steps();
-      while (pending_update_steps_ >= cfg_.update_every) {
-        pending_update_steps_ -= cfg_.update_every;
-        for (std::size_t k = 0; k < agents_.size(); ++k) {
-          update_stats[k] = agents_[k]->update(rng);
-        }
-        if (!observing) continue;
-        for (const auto& us : update_stats) {
-          if (us.high.updated) {
-            critic_loss.add(us.high.critic_loss);
-            actor_entropy.add(us.high.actor_entropy);
-            critic_gn.add(us.high.critic_grad_norm);
-            actor_gn.add(us.high.actor_grad_norm);
-          }
-          if (us.opponent_updates > 0) opp_loss.add(us.opponent_loss);
-        }
-      }
-
-      // Throughput is a property of the whole round (collection, merge and
-      // updates), reported on each of its episodes.
-      double steps_per_sec = 0.0;
-      if (observing) {
-        const double wall_s = (obs::now_us() - round_start_us) * 1e-6;
-        if (wall_s > 0.0) steps_per_sec = static_cast<double>(round_steps) / wall_s;
-      }
-      for (std::size_t e = 0; e < round; ++e) {
-        const BatchedEpisode& col = batched_->episode(e);
-        if (observing) {
-          // Update stats describe the whole round; attach them to its last
-          // episode so telemetry counts each update round once.
-          const bool last = e + 1 == round;
-          const RunningStat empty;
-          emit_episode_obs(done_eps + static_cast<int>(e), col.stats,
-                           col.switches, col.opp_total, col.opp_correct,
-                           steps_per_sec, last ? critic_loss : empty,
-                           last ? actor_entropy : empty, last ? critic_gn : empty,
-                           last ? actor_gn : empty, last ? opp_loss : empty);
-        }
-        if (hook) hook(done_eps + static_cast<int>(e), col.stats);
-      }
+      round_steps += stats[e].steps;
     }
-    done_eps += static_cast<int>(round);
+    total_steps_ += round_steps;
+  }
+
+  // Gradient cadence in synchronized *batch* steps — the batching
+  // throughput lever (docs/BATCHING.md §cadence): one batch step advanced
+  // every live lane, so at batch_envs = E this runs ~E× fewer update
+  // rounds per environment step than one lane does, with the remainder
+  // carried across rounds.
+  RunningStat critic_loss, actor_entropy, critic_gn, actor_gn, opp_loss;
+  while (pending_update_steps_ >= cfg_.update_every) {
+    pending_update_steps_ -= cfg_.update_every;
+    for (auto& agent : agents_) {
+      const AgentUpdateStats us = agent->update(rng);
+      if (!observing) continue;
+      if (us.high.updated) {
+        critic_loss.add(us.high.critic_loss);
+        actor_entropy.add(us.high.actor_entropy);
+        critic_gn.add(us.high.critic_grad_norm);
+        actor_gn.add(us.high.actor_grad_norm);
+      }
+      if (us.opponent_updates > 0) opp_loss.add(us.opponent_loss);
+    }
+  }
+
+  // Throughput is a property of the whole round (collection, merge and
+  // updates), reported on each of its episodes.
+  double steps_per_sec = 0.0;
+  if (observing) {
+    const double wall_s = (obs::now_us() - round_start_us) * 1e-6;
+    if (wall_s > 0.0) steps_per_sec = static_cast<double>(round_steps) / wall_s;
+  }
+  for (std::size_t e = 0; e < count; ++e) {
+    const BatchedEpisode& col = rollout_.episode(e);
+    const int episode = first + static_cast<int>(e);
+    if (observing) {
+      // Update stats describe the whole round; attach them to its last
+      // episode so telemetry counts each update round once.
+      const bool last = e + 1 == count;
+      const RunningStat empty;
+      emit_episode_obs(episode, stats[e], col.switches, col.opp_total, col.opp_correct,
+                       steps_per_sec, last ? critic_loss : empty,
+                       last ? actor_entropy : empty, last ? critic_gn : empty,
+                       last ? actor_gn : empty, last ? opp_loss : empty);
+    }
+    if (hook) hook(episode, stats[e]);
   }
 }
 

@@ -6,8 +6,9 @@
 //   option-selection policy with opponent modeling, skills frozen
 //   (Algorithm 1).
 //
-// HeroTrainer is also an rl::Controller, so the shared evaluation harness
-// (and the Table II domain-shifted world) can run it like any baseline.
+// HeroTrainer is also an rl::Controller: stage 2 acts through it in the one
+// episode loop (rl/episode_runner.h), and the shared evaluation harness (and
+// the Table II domain-shifted world) runs it like any baseline.
 #pragma once
 
 #include <map>
@@ -53,20 +54,27 @@ class HeroTrainer : public rl::Controller {
                                                      const SkillHook& hook = {});
 
   // --- stage 2 ---
-  // Collects rounds of max(batch_envs, 1) episodes through BatchedRollout,
-  // merges them into the learners' buffers in episode order, then runs one
-  // update round per `update_every` batch steps of the round.
+  // Runs the episodes through rl::run_episodes in rounds of
+  // max(batch_envs, 1) lanes keyed by stream_rng(root, episode), one root
+  // drawn from `rng` per call, with this trainer as the exploring
+  // controller and BatchedRollout as the step hook. At each round's end it
+  // merges the round into the learners' buffers in episode order, then
+  // runs one update round (drawing from `rng`) per `update_every` batch
+  // steps.
   void train(int episodes, Rng& rng, const algos::EpisodeHook& hook = {});
 
-  // --- rl::Controller (deployment / evaluation) ---
+  // --- rl::Controller (training, deployment, evaluation) ---
   // One fused HeroActEngine pass over all active slots (three batched
   // network stages total instead of 3·B·n single-row forwards); act() is
   // this call on a batch of one. Slot s's option state lives in an internal
   // HeroSession keyed by slot index, reset via the batch's reset flags — the
   // Controller contract's "slot index is session identity". Sessions count
   // their own ε-schedule position, so evaluation never moves the learners'.
-  // Greedy commands equal the scalar rule in tests/support/hero_oracle.h
-  // bit for bit (ServingEquivalence.ServedMatchesInProcessGreedy).
+  // train() acts through this call too: its rounds take slots 0..E−1 and
+  // restart them, so an act() episode in progress does not survive a
+  // train() call. Greedy commands equal the scalar rule in
+  // tests/support/hero_oracle.h bit for bit
+  // (ServingEquivalence.ServedMatchesInProcessGreedy).
   void act_rows_into(const rl::ObsBatch& batch, Rng* const* rngs, bool explore,
                      sim::TwistCmd* cmds_out) override;
 
@@ -98,6 +106,14 @@ class HeroTrainer : public rl::Controller {
   void batched_act(const rl::ObsBatch& batch, Rng* const* rngs, bool explore,
                    sim::TwistCmd* cmds_out);
 
+  // A round's end, under the `learn` phase: merges episodes [first,
+  // first + count) (lanes 0..count−1, `stats` lane-indexed) into the
+  // learners, runs the update rounds its batch steps earned, then reports
+  // each episode to telemetry and `hook`.
+  void learn_round(int first, const std::vector<rl::EpisodeStats>& stats,
+                   std::size_t count, Rng& rng, const algos::EpisodeHook& hook,
+                   bool observing, double round_start_us);
+
   // Shared telemetry/metrics emission for one finished episode.
   void emit_episode_obs(int episode, const rl::EpisodeStats& stats, long switches,
                         long opp_preds, long opp_hits, double steps_per_sec,
@@ -114,11 +130,14 @@ class HeroTrainer : public rl::Controller {
   long total_steps_ = 0;
 
   std::unique_ptr<runtime::ThreadPool> pool_;  // stage-1 skill pool (lazy)
-  std::unique_ptr<BatchedRollout> batched_;    // stage-2 collection (lazy)
+  // Stage 2: the lanes train() steps (lazy, built by the first call) and
+  // the step hook that stages their transitions and labels.
+  std::unique_ptr<sim::BatchLaneWorld> lanes_;
+  BatchedRollout rollout_{cfg_.high};
   long pending_update_steps_ = 0;  // carries the batch-steps/update_every remainder
 
-  // Batch-first deployment engine + per-slot sessions (lazy; see
-  // act_rows_into).
+  // The one action engine (training, evaluation, serving) and its per-slot
+  // sessions (lazy; see act_rows_into).
   std::unique_ptr<HeroActEngine> act_engine_;
   std::vector<HeroSession> act_sessions_;
   std::vector<HeroSession*> act_session_ptrs_;

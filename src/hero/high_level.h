@@ -102,7 +102,7 @@ class HighLevelAgent {
   // The ε-schedule position: option selections made in training so far.
   long selections() const { return selections_; }
   // Overwrites the ε-schedule position — the trainer's merge advances it by
-  // each episode's selections (BatchedRollout explores from the round-start
+  // each episode's selections (a training round explores from its start
   // position). Acting never moves it (HeroSession counts on its own).
   void set_selections(long n) { selections_ = n; }
 

@@ -61,7 +61,8 @@ class OpponentModel {
   }
 
   // One observed (own obs, opponent j's current option) pair. Public so
-  // BatchedRollout can stage a round's labels for the trainer's merge.
+  // stage 2's step hook (BatchedRollout) can stage a round's labels for the
+  // trainer's merge.
   struct Sample {
     std::vector<double> obs;
     int option;

@@ -4,8 +4,9 @@
 // method identically — this is what the Fig. 7/11 and Table II benches use.
 //
 // One action entry point, act_rows_into(): many environment slots in one
-// ObsBatch, one fused pass. Batched evaluation (rl::evaluate_batch) and the
-// policy server (src/serve) call it directly, and HERO and all four
+// ObsBatch, one fused pass. The one episode loop (rl/episode_runner.h: every
+// method's training and both evaluations) and the policy server (src/serve)
+// call it directly, and HERO and all four
 // baselines implement it with genuinely batched network evaluation, so
 // cross-slot batching costs one forward per network instead of one per slot.
 // act() is its batch of one, just as sim::LaneWorld is a one-env view of

@@ -5,14 +5,15 @@
 
 #include "common/check.h"
 #include "obs/obs.h"
-#include "runtime/batch_rollout.h"
+#include "runtime/rng_stream.h"
 
 namespace hero::rl {
 
 namespace {
 
 // The state of one run_episodes call: the two observation batches a tick
-// alternates between, the commands, the step output and per-lane stats.
+// alternates between, the commands, the step output, per-lane stats and,
+// for root-keyed rounds, the lanes' streams.
 class Runner {
  public:
   Runner(const EpisodeLoop& loop, sim::BatchLaneWorld& world)
@@ -31,10 +32,37 @@ class Runner {
 
   // Episodes [first, first + count) on lanes [0, count); lane i draws from
   // *rngs[i].
-  void round(int first, std::size_t count, Rng* const* rngs);
+  void round(int first, std::size_t count, Rng* const* rngs) {
+    {
+      OBS_PHASE("rollout");
+      play(count, rngs);
+    }
+    report(first, count);
+  }
+
+  // The same, lane i drawing from stream_rng(root, first + i).
+  void round(int first, std::size_t count, std::uint64_t root) {
+    {
+      OBS_PHASE("rollout");
+      // Seeded in the scope: each stream is a 2.5 KB engine, and the
+      // storage is kept for the call's later rounds.
+      streams_.clear();
+      streams_.reserve(active_.size());
+      stream_ptrs_.clear();
+      for (std::size_t i = 0; i < count; ++i) {
+        streams_.push_back(
+            runtime::stream_rng(root, static_cast<std::uint64_t>(first) + i));
+        stream_ptrs_.push_back(&streams_.back());
+      }
+      play(count, stream_ptrs_.data());
+    }
+    report(first, count);
+  }
 
  private:
+  void play(std::size_t count, Rng* const* rngs);
   void finish(std::size_t lane);
+  void report(int first, std::size_t count) const;
 
   const EpisodeLoop& loop_;
   sim::BatchLaneWorld& world_;
@@ -44,27 +72,43 @@ class Runner {
   std::vector<std::uint8_t> active_;
   std::vector<EpisodeStats> stats_;
   sim::BatchStepResult out_;
+  std::vector<Rng> streams_;
+  std::vector<Rng*> stream_ptrs_;
 };
 
-void Runner::round(int first, std::size_t count, Rng* const* rngs) {
-  OBS_PHASE("episode_round");
+void Runner::play(std::size_t count, Rng* const* rngs) {
   ObsBatch* now = &a_;
   ObsBatch* next = &b_;
   now->set_count(count);
   next->set_count(count);
   std::fill(active_.begin(), active_.end(), 0);
   for (std::size_t i = 0; i < count; ++i) {
-    const int e = static_cast<int>(i);
-    world_.reset_env(e, *rngs[i]);
+    world_.reset_env(static_cast<int>(i), *rngs[i]);
     stats_[i] = EpisodeStats{};
     active_[i] = 1;
-    now->set_slot_from_world(i, world_, e, /*reset=*/true, rngs[i]);
+  }
+  {
+    OBS_PHASE("obs_build");
+    for (std::size_t i = 0; i < count; ++i) {
+      now->set_slot_from_world(i, world_, static_cast<int>(i), /*reset=*/true, rngs[i]);
+    }
   }
 
   std::size_t live = count;
   while (live > 0) {
     loop_.controller->act_rows_into(*now, rngs, loop_.explore, cmds_.data());
     world_.step_all(cmds_.data(), rngs, active_.data(), out_);
+    {
+      OBS_PHASE("obs_build");
+      // A finished lane's post-step rows only feed the hook; without one
+      // they are not extracted, so no sensor noise is drawn after an
+      // episode's last step.
+      for (std::size_t i = 0; i < count; ++i) {
+        if (active_[i] == 0 || (out_.done[i] != 0 && !loop_.on_step)) continue;
+        next->set_slot_from_world(i, world_, static_cast<int>(i), /*reset=*/false,
+                                  rngs[i]);
+      }
+    }
     for (std::size_t i = 0; i < count; ++i) {
       if (active_[i] == 0) continue;
       // Team reward: the learners' rewards summed in order, then averaged.
@@ -72,13 +116,6 @@ void Runner::round(int first, std::size_t count, Rng* const* rngs) {
       for (std::size_t k = 0; k < n_; ++k) sum += out_.reward[i * n_ + k];
       stats_[i].team_reward += sum / static_cast<double>(n_);
       if (out_.collision[i] != 0) stats_[i].collision = true;
-      // A finished lane's post-step rows only feed the hook; without one
-      // they are not extracted, so no sensor noise is drawn after an
-      // episode's last step.
-      if (out_.done[i] == 0 || loop_.on_step) {
-        next->set_slot_from_world(i, world_, static_cast<int>(i), /*reset=*/false,
-                                  rngs[i]);
-      }
     }
     if (loop_.on_step) loop_.on_step(StepView{*now, *next, cmds_.data(), out_});
     for (std::size_t i = 0; i < count; ++i) {
@@ -92,11 +129,6 @@ void Runner::round(int first, std::size_t count, Rng* const* rngs) {
       if (active_[i] == 0) now->slot(i).active = false;
     }
   }
-
-  if (!loop_.on_episode) return;
-  for (std::size_t i = 0; i < count; ++i) {
-    loop_.on_episode(first + static_cast<int>(i), i, stats_[i]);
-  }
 }
 
 void Runner::finish(std::size_t lane) {
@@ -108,6 +140,13 @@ void Runner::finish(std::size_t lane) {
   double speed = 0.0;
   for (int vi : world_.learners()) speed += world_.mean_speed(e, vi);
   s.mean_speed = speed / static_cast<double>(n_);
+}
+
+void Runner::report(int first, std::size_t count) const {
+  if (!loop_.on_episode) return;
+  for (std::size_t i = 0; i < count; ++i) {
+    loop_.on_episode(first + static_cast<int>(i), i, stats_[i]);
+  }
 }
 
 }  // namespace
@@ -123,12 +162,9 @@ void run_episodes(const EpisodeLoop& loop, sim::BatchLaneWorld& world,
                   std::uint64_t root, int episodes) {
   Runner runner(loop, world);
   const int lanes = world.num_envs();
-  runtime::BatchRoundScheduler sched(static_cast<std::size_t>(lanes));
   for (int first = 0; first < episodes; first += lanes) {
-    const std::size_t count =
-        static_cast<std::size_t>(std::min(lanes, episodes - first));
-    sched.begin_round(root, static_cast<std::size_t>(first), count);
-    runner.round(first, count, sched.rng_ptrs());
+    runner.round(first, static_cast<std::size_t>(std::min(lanes, episodes - first)),
+                 root);
   }
 }
 

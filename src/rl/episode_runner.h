@@ -1,28 +1,34 @@
-// The one episode loop: every baseline trainer's collection and both
-// evaluation entry points (rl::evaluate, rl::evaluate_batch) run their
-// episodes here (docs/BATCHING.md, "One episode loop").
+// The one episode loop: HERO's stage-2 training, every baseline trainer's
+// collection and both evaluation entry points (rl::evaluate,
+// rl::evaluate_batch) run their episodes here (docs/BATCHING.md, "One
+// episode loop").
 //
-// Each tick the runner extracts every live lane of a sim::BatchLaneWorld
-// into an ObsBatch slot (ObsBatch::set_slot_from_world, sensor noise from
-// the lane's stream), makes one Controller::act_rows_into call over them,
-// and advances them together with BatchLaneWorld::step_all. Lanes finish
+// Each tick the runner makes one Controller::act_rows_into call over every
+// live lane of a sim::BatchLaneWorld, advances them together with
+// BatchLaneWorld::step_all and extracts their post-step rows into an
+// ObsBatch slot (ObsBatch::set_slot_from_world, sensor noise from the
+// lane's stream). One extraction per tick serves both the next tick's
+// action and, for the step hook, a transition's next_obs. Lanes finish
 // independently; a round ends when every lane has, and its episodes are
-// then reported in lane order, which is episode order. One extraction per
-// tick serves both the next tick's action and, for the step hook, a
-// transition's next_obs.
+// then reported in lane order, which is episode order.
 //
-// The runner keys no stream; the caller picks one of two keyings:
+// Phases: a round runs inside OBS_PHASE("rollout"), which closes before its
+// episodes are reported; every extraction runs inside OBS_PHASE("obs_build")
+// (one scope per tick plus one for the reset rows). The controller and the
+// step hook open their own scopes under `rollout` (HERO: act_rows,
+// accumulate); the report hook runs outside it (HERO: learn).
+//
+// The caller picks one of two keyings:
 //   * run_episodes(loop, world, Rng& rng, ..): one episode at a time on env
-//     0. Every draw comes from `rng`: the reset, then per tick the sensor
-//     noise, the controller's draws, the step's noise and then whatever the
-//     step hook draws (a trainer's update).
+//     0. Every draw comes from `rng`: the reset and the first rows' sensor
+//     noise, then per tick the controller's draws, the step's noise, the
+//     sensor noise and then whatever the step hook draws (a trainer's
+//     update).
 //   * run_episodes(loop, world, std::uint64_t root, ..): rounds of
 //     world.num_envs() lanes; lane i of the round that starts at episode f
-//     draws everything from stream_rng(root, f + i)
-//     (runtime::BatchRoundScheduler).
-//
-// HERO's stage-2 collection (core::BatchedRollout) keeps its own loop: its
-// semi-MDP bookkeeping reads the action engine's per-slot selections.
+//     draws everything from stream_rng(root, f + i), seeded inside the
+//     round's scope. HERO's stage 2, batched baseline training and
+//     rl::evaluate_batch key this way.
 #pragma once
 
 #include <cstdint>
@@ -35,10 +41,11 @@
 namespace hero::rl {
 
 // One tick as the step hook sees it. Slot s stepped this tick iff
-// before.slot(s).active; then its learners' commands are
-// cmds[s·n .. s·n + n), its outcome is result.reward[s·n + k],
-// result.collision[s] and result.done[s], and after's slot s holds its
-// post-step rows. Slots that did not step are stale in `after`.
+// before.slot(s).active; then before.slot(s).reset marks the episode's
+// first tick, its learners' commands are cmds[s·n .. s·n + n), its outcome
+// is result.reward[s·n + k], result.collision[s] and result.done[s], and
+// after's slot s holds its post-step rows (the terminal rows when done).
+// Slots that did not step are stale in `after`.
 struct StepView {
   const ObsBatch& before;
   const ObsBatch& after;
@@ -52,7 +59,7 @@ struct EpisodeLoop {
   // Success: the merger vehicle ends the episode in this lane, collision-free.
   int merger_index = 0;
   int merger_target_lane = 0;
-  // Optional: runs after every step_all.
+  // Optional: runs after every step_all and extraction.
   std::function<void(const StepView&)> on_step;
   // Optional: runs at each round's end for its episodes, in episode order.
   std::function<void(int episode, std::size_t lane, const EpisodeStats&)> on_episode;

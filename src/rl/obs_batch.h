@@ -15,10 +15,11 @@
 //     (slot index is a session identity — see Controller::act_rows_into).
 //
 // Two producers fill it. set_slot_from_world() is the one extraction from a
-// live world: HERO's stage-2 rollout (env e of its BatchLaneWorld),
-// Controller::act's batch of one and rl::evaluate_batch (the one env of a
-// LaneWorld) all go through it. The serving layer decodes client request
-// frames straight into the rows (src/serve/protocol.h). Either way the
+// live world: the one episode loop (rl/episode_runner.h, which HERO's
+// stage 2, the baselines' training and both evaluations run) and
+// Controller::act's batch of one (the one env of a LaneWorld) go through
+// it. The serving layer decodes client request frames straight into the
+// rows (src/serve/protocol.h). Either way the
 // consuming controller sees the same layout, which is what makes the served
 // answers testable against the in-process ones.
 #pragma once

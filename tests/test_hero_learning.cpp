@@ -9,6 +9,7 @@
 #include "hero/act_engine.h"
 #include "hero/batched_rollout.h"
 #include "hero/hero_agent.h"
+#include "rl/episode_runner.h"
 #include "sim/scenario.h"
 
 namespace hero::core {
@@ -266,46 +267,90 @@ TEST(HeroAgent, LaneChangeTargetsOtherLane) {
 
 // ------------------------------------------------------ BatchedRollout ----
 //
-// Stage 2 collects only through BatchedRollout, so its semi-MDP bookkeeping
-// is checked on a real round: every lane and every agent of it.
+// Stage 2 collects only through rl::run_episodes with BatchedRollout as the
+// step hook, so its semi-MDP bookkeeping is checked on a real round: every
+// lane and every agent of it.
+
+// The trainer's acting in miniature: one HeroActEngine over one session per
+// slot.
+class EngineController : public rl::Controller {
+ public:
+  EngineController(SkillBank& skills, std::vector<std::unique_ptr<HeroAgent>>& agents,
+                   const HighLevelConfig& high, const TerminationConfig& term,
+                   std::size_t slots)
+      : skills_(skills), agents_(agents), high_(high), term_(term), sessions_(slots) {
+    for (HeroSession& s : sessions_) session_ptrs_.push_back(&s);
+  }
+
+  void act_rows_into(const rl::ObsBatch& batch, Rng* const* rngs, bool explore,
+                     sim::TwistCmd* cmds_out) override {
+    engine_.act_rows(skills_, agents_, high_, term_, batch, session_ptrs_.data(), rngs,
+                     explore, cmds_out);
+  }
+
+  const HeroActEngine& engine() const { return engine_; }
+  const std::vector<HeroSession>& sessions() const { return sessions_; }
+
+ private:
+  SkillBank& skills_;
+  std::vector<std::unique_ptr<HeroAgent>>& agents_;
+  const HighLevelConfig& high_;
+  const TerminationConfig& term_;
+  HeroActEngine engine_;
+  std::vector<HeroSession> sessions_;
+  std::vector<HeroSession*> session_ptrs_;
+};
 
 // One round of kLanes episodes on cooperative_lane_change() from untrained
-// networks, at high-level discount `gamma`. Not movable: the rollout keeps
-// references to the skill bank and the agent roster.
+// networks, at high-level discount `gamma`, exploring.
 class CollectedRound {
  public:
   static constexpr std::size_t kLanes = 4;
 
-  explicit CollectedRound(double gamma) : sc_(sim::cooperative_lane_change()) {
+  explicit CollectedRound(double gamma) : rollout_(high_with(gamma)) {
+    const sim::Scenario sc = sim::cooperative_lane_change();
     Rng rng(19);
-    const sim::LaneWorld world(sc_.config);
+    sim::BatchLaneWorld world(sc.config, static_cast<int>(kLanes));
     const SkillConfig skill;
-    skills_ = std::make_unique<SkillBank>(world.low_level_obs_dim(), skill, rng);
-    HighLevelConfig high = fast_high();
-    high.gamma = gamma;
+    SkillBank skills(world.low_level_obs_dim(), skill, rng);
+    const HighLevelConfig high = high_with(gamma);
     n_ = world.num_learners();
+    std::vector<std::unique_ptr<HeroAgent>> agents;
     for (int k = 0; k < n_; ++k) {
-      agents_.push_back(std::make_unique<HeroAgent>(world.high_level_obs_dim(), n_ - 1,
-                                                    high, OpponentModelConfig{}, rng));
+      agents.push_back(std::make_unique<HeroAgent>(world.high_level_obs_dim(), n_ - 1,
+                                                   high, OpponentModelConfig{}, rng));
     }
-    rollout_ = std::make_unique<BatchedRollout>(sc_, high, skill.termination, *skills_,
-                                                agents_, static_cast<int>(kLanes));
-    rollout_->run_round(/*root=*/7, /*first=*/0, kLanes, /*observing=*/true);
+    EngineController controller(skills, agents, high, skill.termination, kLanes);
+    rl::EpisodeLoop loop;
+    loop.controller = &controller;
+    loop.explore = true;
+    loop.merger_index = sc.merger_index;
+    loop.merger_target_lane = sc.merger_target_lane;
+    loop.on_step = [&](const rl::StepView& tick) {
+      rollout_.on_step(tick, controller.engine(), controller.sessions(),
+                       /*observing=*/true);
+    };
+    loop.on_episode = [&](int, std::size_t lane, const rl::EpisodeStats& s) {
+      stats_[lane] = s;
+    };
+    rl::run_episodes(loop, world, /*root=*/7, static_cast<int>(kLanes));
   }
-  CollectedRound(const CollectedRound&) = delete;
-  CollectedRound& operator=(const CollectedRound&) = delete;
 
   int agents() const { return n_; }
-  const BatchedEpisode& episode(std::size_t lane) { return rollout_->episode(lane); }
+  const rl::EpisodeStats& stats(std::size_t lane) const { return stats_[lane]; }
   const std::vector<OptionTransition>& transitions(std::size_t lane, int k) {
-    return episode(lane).high[static_cast<std::size_t>(k)];
+    return rollout_.episode(lane).high[static_cast<std::size_t>(k)];
   }
 
  private:
-  sim::Scenario sc_;
-  std::unique_ptr<SkillBank> skills_;
-  std::vector<std::unique_ptr<HeroAgent>> agents_;
-  std::unique_ptr<BatchedRollout> rollout_;
+  static HighLevelConfig high_with(double gamma) {
+    HighLevelConfig high = fast_high();
+    high.gamma = gamma;
+    return high;
+  }
+
+  BatchedRollout rollout_;
+  rl::EpisodeStats stats_[kLanes];
   int n_ = 0;
 };
 
@@ -372,7 +417,7 @@ TEST(BatchedRollout, DiscountPowersCountEpisodeSteps) {
   constexpr double kGamma = 0.9;
   CollectedRound round(kGamma);
   for (std::size_t lane = 0; lane < CollectedRound::kLanes; ++lane) {
-    const int steps = round.episode(lane).stats.steps;
+    const int steps = round.stats(lane).steps;
     ASSERT_GT(steps, 0);
     for (int k = 0; k < round.agents(); ++k) {
       double held = 0.0;
@@ -397,7 +442,7 @@ TEST(BatchedRollout, SemiMdpRewardAccumulation) {
       }
     }
     mean /= round.agents();
-    const double team = round.episode(lane).stats.team_reward;
+    const double team = round.stats(lane).team_reward;
     EXPECT_NEAR(mean, team, 1e-9 * std::max(1.0, std::abs(team))) << "lane " << lane;
   }
 }

@@ -289,6 +289,42 @@ TEST(HeroBatched, HooksFireInCanonicalEpisodeOrder) {
   }
 }
 
+TEST(HeroPipeline, EvaluationBetweenTrainCallsLeavesTrainingUnchanged) {
+  // Training and evaluation act through the trainer's one engine and one
+  // slot-keyed session pool. A training round restarts every slot it takes,
+  // so evaluations between train() calls, on their own streams and wider
+  // than training, change no training result.
+  auto run = [](bool evaluate, std::string* params) {
+    Rng rng(43);
+    auto sc = sim::cooperative_lane_change();
+    auto cfg = fast_hero();
+    cfg.batch_envs = 3;
+    core::HeroTrainer trainer(sc, cfg, rng);
+    std::vector<double> rewards;
+    const algos::EpisodeHook hook = [&](int, const rl::EpisodeStats& s) {
+      rewards.push_back(s.team_reward);
+    };
+    trainer.train(6, rng, hook);
+    if (evaluate) {
+      Rng eval_rng(5);
+      sim::LaneWorld world(sc.config);
+      (void)rl::evaluate(world, trainer, eval_rng, 2, sc.merger_index,
+                         sc.merger_target_lane);
+      (void)rl::evaluate_batch(sc.config, trainer, /*root_seed=*/9, /*episodes=*/8,
+                               /*batch=*/8, sc.merger_index, sc.merger_target_lane);
+    }
+    trainer.train(7, rng, hook);
+    *params = learner_params(trainer);
+    return rewards;
+  };
+  std::string plain, evaluated;
+  const auto r_plain = run(false, &plain);
+  const auto r_evaluated = run(true, &evaluated);
+  ASSERT_EQ(r_plain.size(), 13u);
+  EXPECT_EQ(r_plain, r_evaluated);  // bitwise
+  EXPECT_EQ(plain, evaluated);
+}
+
 TEST(HeroPipeline, CheckpointRoundTripReproducesBehaviour) {
   Rng rng(9);
   auto sc = sim::cooperative_lane_change();

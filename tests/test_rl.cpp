@@ -7,6 +7,7 @@
 #include <set>
 
 #include "algos/dqn.h"
+#include "obs/phase.h"
 #include "rl/discretizer.h"
 #include "rl/episode_runner.h"
 #include "rl/evaluation.h"
@@ -303,6 +304,45 @@ TEST(Evaluation, EvaluateAndEvaluateBatchShareOneLoop) {
     EXPECT_EQ(a.mean_speed, b.mean_speed);
     EXPECT_EQ(a.episodes, b.episodes);
   }
+}
+
+// A round's scope closes before its episodes are reported, so the report
+// hook's own scopes (HERO's learn) are siblings of `rollout`, not children:
+// stage2/learn and perfbench's per-layer sums rely on it.
+TEST(EpisodeRunner, ReportsEpisodesOutsideTheRolloutScope) {
+  auto sc = sim::cooperative_lane_change();
+  sim::BatchLaneWorld world(sc.config, /*num_envs=*/2);
+  ConstantController crawl({0.04, 0.0});
+  EpisodeLoop loop;
+  loop.controller = &crawl;
+  loop.merger_index = sc.merger_index;
+  loop.merger_target_lane = sc.merger_target_lane;
+  loop.on_episode = [](int, std::size_t, const EpisodeStats&) { OBS_PHASE("report"); };
+
+  obs::set_phases_enabled(true);
+  obs::PhaseRegistry::instance().reset();
+  run_episodes(loop, world, /*root=*/5, /*episodes=*/4);
+  const std::vector<obs::PhaseStat> roots = obs::PhaseRegistry::instance().snapshot();
+  obs::set_phases_enabled(false);
+  obs::PhaseRegistry::instance().reset();
+
+  // Entered scopes only: earlier tests may leave zeroed nodes behind.
+  const auto entered = [](const std::vector<obs::PhaseStat>& nodes, const char* name) {
+    const auto it =
+        std::find_if(nodes.begin(), nodes.end(), [&](const obs::PhaseStat& p) {
+          return p.name == name && p.count > 0;
+        });
+    return it == nodes.end() ? nullptr : &*it;
+  };
+  const obs::PhaseStat* rollout = entered(roots, "rollout");
+  ASSERT_NE(rollout, nullptr);
+  EXPECT_EQ(rollout->count, 2u);  // one per round
+  EXPECT_NE(entered(rollout->children, "obs_build"), nullptr);
+  EXPECT_NE(entered(rollout->children, "sim_step"), nullptr);
+  EXPECT_EQ(entered(rollout->children, "report"), nullptr);
+  const obs::PhaseStat* report = entered(roots, "report");
+  ASSERT_NE(report, nullptr);
+  EXPECT_EQ(report->count, 4u);
 }
 
 }  // namespace

@@ -380,6 +380,9 @@ TEST(CheckpointManifest, GeometryRejectsMalformedShape) {
   EXPECT_THROW(core::apply_manifest_geometry(m, &cfg), std::runtime_error);
   m.shapes["agent0_actor"] = "34";
   EXPECT_THROW(core::apply_manifest_geometry(m, &cfg), std::runtime_error);
+  // 2^64 + 1 must not wrap to a width of 1.
+  m.shapes["agent0_actor"] = "34:18446744073709551617:4";
+  EXPECT_THROW(core::apply_manifest_geometry(m, &cfg), std::runtime_error);
 }
 
 // What read_manifest makes of `text` as dir/checkpoint.json: the
@@ -423,6 +426,13 @@ TEST(CheckpointManifest, RejectsMalformedManifest) {
     return text.replace(text.find(learners), learners.size(),
                         "\"learners\": " + value + ",");
   };
+  const std::string actor = "\"agent0_actor\": \"";
+  ASSERT_NE(good.find(actor), std::string::npos) << good;
+  const auto with_actor_shape = [&](const std::string& shape) {
+    std::string text = good;
+    const std::size_t at = text.find(actor) + actor.size();
+    return text.replace(at, text.find('"', at) - at, shape);
+  };
 
   struct Case {
     const char* what;
@@ -442,6 +452,12 @@ TEST(CheckpointManifest, RejectsMalformedManifest) {
       {"non-string shape",
        std::string(good).insert(good.find(shapes) + shapes.size(), "\"bogus\": 5, "),
        "shapes"},
+      // Bounded by the checkpoint's own bytes before any model is sized.
+      {"overflowing shape", with_actor_shape("34:18446744073709551617:4"),
+       "agent0_actor"},
+      {"shape past its tensor file", with_actor_shape("34:400000000:4"), "agent0_actor"},
+      {"more learners than actor shapes", with_learners("2000000000"), "learners"},
+      {"no learners", with_learners("0"), "learners"},
   };
   for (const Case& c : cases) {
     const std::string msg = manifest_error_for(dir, c.text);
@@ -673,10 +689,27 @@ TEST(ServingEquivalence, ReloadAcrossWidthsAdoptsNewGeometry) {
   EXPECT_EQ(resp[0].request_id, 2u);
 
   // Reload rejection leaves the active (wide) model serving.
+  const ActResponse wide_answer = resp[0];
   EXPECT_THROW(engine.reload(dir_wide + "/nonexistent"), std::runtime_error);
   req.request_id = 3;
   engine.act_batch({session}, {&req}, &resp);
   EXPECT_EQ(resp[0].request_id, 3u);
+  EXPECT_EQ(engine.reloads(), 1);
+
+  // So does a manifest whose actor shape its tensor file cannot hold: it is
+  // rejected before a model is sized from it, and the wide model answers
+  // the same request bit for bit.
+  const std::string dir_huge = fresh_dir("ckpt_huge");
+  std::filesystem::copy(dir_wide, dir_huge, std::filesystem::copy_options::recursive);
+  core::CheckpointManifest huge;
+  ASSERT_TRUE(core::read_manifest(dir_huge, &huge));
+  huge.shapes["agent0_actor"] = "34:400000000:4";
+  core::write_manifest(dir_huge, huge);
+  EXPECT_THROW(engine.reload(dir_huge), std::runtime_error);
+  engine.act_batch({session}, {&req}, &resp);
+  EXPECT_EQ(resp[0].linear, wide_answer.linear);    // bitwise
+  EXPECT_EQ(resp[0].angular, wide_answer.angular);  // bitwise
+  EXPECT_EQ(resp[0].option, wide_answer.option);
   EXPECT_EQ(engine.reloads(), 1);
 }
 
