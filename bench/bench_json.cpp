@@ -1,14 +1,16 @@
-// JSON perf-trajectory reporter.
+// Op-level benchmarks.
 //
 // Times the NN hot-path operations (op level), short training slices of
 // every baseline, and the batch-first sim and dense-traffic sensing
 // (steps/sec), then writes two machine-readable snapshots:
 //
-//   BENCH_nn.json    — op-level numbers (ns/iter), google-benchmark-style
-//   BENCH_train.json — environment-steps-per-second per training method
+//   --nn-out    — op-level numbers (real_time_ns, lower is better)
+//   --train-out — environment steps per second (steps_per_sec, higher is
+//                 better) per training method and sim case
 //
-// Every perf PR re-runs `tools/run_benchmarks.sh` and commits the refreshed
-// snapshots, so the repo carries its own performance trajectory. HERO's
+// `tools/ab_bench.py --workload bench_json` compares every entry between two
+// revisions in alternating same-host pairs; `tools/run_benchmarks.sh` checks
+// the two same-run gates (V128 indexed/all-pairs, BM_PhaseScope/off). HERO's
 // training throughput is measured end to end by perfbench (BENCHMARK.json);
 // here it appears only as BM_BatchedRollout/dense64.
 //
@@ -57,9 +59,11 @@ struct BenchResult {
 };
 
 // Adaptive timing loop: grows the iteration count until the measured wall
-// time exceeds `min_seconds`, then reports ns per iteration.
+// time exceeds `min_seconds`, then reports ns per op, where one fn() call
+// performs `ops_per_call` ops.
 template <class F>
-BenchResult time_case(const std::string& name, double min_seconds, F&& fn) {
+BenchResult time_case(const std::string& name, double min_seconds, F&& fn,
+                      int ops_per_call = 1) {
   fn();  // warm caches, settle lazily-sized workspaces
   long iters = 1;
   for (;;) {
@@ -69,9 +73,9 @@ BenchResult time_case(const std::string& name, double min_seconds, F&& fn) {
     if (secs >= min_seconds || iters >= (1L << 30)) {
       BenchResult r;
       r.name = name;
-      r.ns_per_iter = secs * 1e9 / static_cast<double>(iters);
+      r.ns_per_iter = secs * 1e9 / (static_cast<double>(iters) * ops_per_call);
       r.iterations = iters;
-      std::fprintf(stderr, "  %-34s %12.1f ns/iter  (%ld iters)\n", name.c_str(),
+      std::fprintf(stderr, "  %-34s %12.1f ns/op  (%ld iters)\n", name.c_str(),
                    r.ns_per_iter, iters);
       return r;
     }
@@ -101,6 +105,18 @@ void write_json(const std::string& path, const std::string& kind,
 
 // ------------------------------ op-level cases ------------------------------
 
+// One BM_PhaseScope iteration: kPhaseScopes scopes written out back to back
+// (each lambda is called once, so it is inlined). A disabled scope is a
+// load, a test and a branch; timed one per loop trip, the entry measured
+// where that short loop fell on a cache line (the same instructions read
+// 0.4–0.8 ns in one build and 0.7–1.4 ns in another).
+constexpr int kPhaseScopes = 32;
+
+template <std::size_t... I>
+void phase_scopes(std::index_sequence<I...>) {
+  (((void)I, [] { OBS_PHASE("bench_phase"); }()), ...);
+}
+
 std::vector<BenchResult> run_nn_cases(double min_time) {
   using namespace hero;
   std::vector<BenchResult> out;
@@ -128,17 +144,15 @@ std::vector<BenchResult> run_nn_cases(double min_time) {
   }
 
   {
-    // Scope cost (obs/phase.h). "off" is what every uninstrumented run pays
-    // at each OBS_PHASE site — one relaxed load of the sink word, asserted
-    // to stay in the noise by tools/run_benchmarks.sh. "on" feeds the phase
-    // tree alone: two clock reads and two relaxed atomic adds.
-    out.push_back(time_case("BM_PhaseScope/off", min_time, [&] {
-      OBS_PHASE("bench_phase");
-    }));
+    // Scope cost (obs/phase.h), per scope. "off" is what every
+    // uninstrumented run pays at each OBS_PHASE site — one relaxed load of
+    // the sink word, asserted to stay in the noise by
+    // tools/run_benchmarks.sh. "on" feeds the phase tree alone: two clock
+    // reads and two relaxed atomic adds.
+    const auto scopes = [] { phase_scopes(std::make_index_sequence<kPhaseScopes>{}); };
+    out.push_back(time_case("BM_PhaseScope/off", min_time, scopes, kPhaseScopes));
     obs::set_phases_enabled(true);
-    out.push_back(time_case("BM_PhaseScope/on", min_time, [&] {
-      OBS_PHASE("bench_phase");
-    }));
+    out.push_back(time_case("BM_PhaseScope/on", min_time, scopes, kPhaseScopes));
     obs::set_phases_enabled(false);
     obs::PhaseRegistry::instance().reset();
   }
@@ -296,11 +310,10 @@ void run_train_cases(int episodes, int workers, std::vector<TrainSlice>& out) {
   }
 }
 
-// Batch-first entries (docs/BATCHING.md), reported as env steps/sec so the
-// regression gate compares them with the same higher-is-better polarity as
-// the trainer slices. BM_BatchStep isolates the SoA sim (step_all with
-// constant keep-lane commands, done envs re-seeded in place). HERO's
-// batched rollout is timed end to end by perfbench's coop3 workloads.
+// Batch-first entries (docs/BATCHING.md), reported as env steps/sec, higher
+// is better like the trainer slices. BM_BatchStep isolates the SoA sim
+// (step_all with constant keep-lane commands, done envs re-seeded in place).
+// HERO's batched rollout is timed end to end by perfbench's coop3 workloads.
 void run_batch_cases(std::vector<TrainSlice>& out) {
   using namespace hero;
   const sim::Scenario scenario = sim::cooperative_lane_change();
@@ -471,7 +484,7 @@ int main(int argc, char** argv) {
   const int max_workers = flags.get_int("max-workers", 8);
   // Declarative config behind the BM_BatchStep/V* density sweep; empty
   // skips the dense entries (a missing file is a hard error — a silently
-  // absent entry would make the regression gate vacuous).
+  // absent entry would make the V128 gate vacuous).
   const std::string dense_scenario =
       flags.get_string("dense-scenario", "scenarios/dense_traffic.json");
   flags.check_unknown();
@@ -487,8 +500,8 @@ int main(int argc, char** argv) {
   write_json(nn_out, "nn_ops_ns_per_iter", nn_entries, "real_time_ns", nn_iters);
 
   if (train_episodes <= 0) {
-    // Don't write an all-zeros snapshot — that would read as a catastrophic
-    // regression if it ever got committed.
+    // Don't write an all-zeros snapshot — an A/B would read it as a
+    // catastrophic regression.
     std::fprintf(stderr, "== training-slice benchmarks skipped (--train-episodes %d) ==\n",
                  train_episodes);
     return 0;

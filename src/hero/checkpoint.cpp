@@ -171,10 +171,12 @@ std::string manifest_to_json(const CheckpointManifest& m) {
   return out;
 }
 
-bool read_manifest(const std::string& dir, CheckpointManifest* out) {
+CheckpointManifest read_manifest(const std::string& dir) {
   const std::string path = dir + "/checkpoint.json";
   std::ifstream in(path);
-  if (!in) return false;
+  if (!in) {
+    manifest_error(path, "missing or unreadable (not a checkpoint directory)");
+  }
   std::ostringstream buf;
   buf << in.rdbuf();
 
@@ -243,8 +245,7 @@ bool read_manifest(const std::string& dir, CheckpointManifest* out) {
                              ", outside 1.." + std::to_string(actors) +
                              " (the agent<k>_actor shapes listed)");
   }
-  *out = m;
-  return true;
+  return m;
 }
 
 void write_manifest(const std::string& dir, const CheckpointManifest& m) {
@@ -311,17 +312,6 @@ void validate_manifest(const CheckpointManifest& on_disk,
                              " is incompatible with this configuration (" +
                              err.str() + ")");
   }
-}
-
-CheckpointManifest load_checkpoint(HeroTrainer& trainer, const std::string& dir,
-                                   bool* legacy) {
-  const CheckpointManifest expected = manifest_of(trainer);
-  CheckpointManifest on_disk;
-  const bool has_manifest = read_manifest(dir, &on_disk);
-  if (legacy != nullptr) *legacy = !has_manifest;
-  if (has_manifest) validate_manifest(on_disk, expected, dir);
-  trainer.load(dir);
-  return has_manifest ? on_disk : expected;
 }
 
 void apply_manifest_geometry(const CheckpointManifest& m, HeroConfig* cfg) {

@@ -3,19 +3,16 @@
 // HeroTrainer::save writes `checkpoint.json` next to the tensor files: the
 // manifest format version, the producing build (git sha, build type), a
 // digest of the architecture, and the exact network shapes (per-component
-// Mlp layer widths). HeroTrainer::load — and therefore hero_eval and
-// hero_serve, which share the load path below — validates the manifest
-// against the loading trainer's own architecture and rejects version or
-// shape mismatches with an error that names both sides, instead of letting
-// nn::load_params fail tensor-by-tensor (or worse, silently misread a
-// same-sized file).
+// Mlp layer widths). Every load reads it once (read_manifest) and
+// HeroTrainer::load validates it against the loading trainer's own
+// architecture, rejecting version or shape mismatches with an error that
+// names both sides, instead of letting nn::load_params fail tensor-by-tensor
+// (or worse, silently misread a same-sized file). A directory without a
+// manifest is not a checkpoint and is rejected.
 //
 // Manifest content is fully deterministic (no timestamps, no wall-clock
 // fields): the seed-determinism gate compares checkpoint directories
 // bitwise (tools/check_determinism.sh).
-//
-// Checkpoints written before this format carry no manifest; they load with
-// a warning (shape errors then surface from the tensor loader as before).
 #pragma once
 
 #include <map>
@@ -51,9 +48,10 @@ CheckpointManifest manifest_of(HeroTrainer& trainer);
 // Canonical JSON (sorted keys, fixed field order) — what save() writes.
 std::string manifest_to_json(const CheckpointManifest& m);
 
-// Reads dir/checkpoint.json. Returns false when the file is absent
-// (legacy checkpoint); throws std::runtime_error on unparseable content.
-bool read_manifest(const std::string& dir, CheckpointManifest* out);
+// Reads dir/checkpoint.json and bounds its numbers by the checkpoint's own
+// tensor files. Throws std::runtime_error naming the file when it is
+// missing, unparseable or out of bounds.
+CheckpointManifest read_manifest(const std::string& dir);
 
 // Writes dir/checkpoint.json (the directory must exist).
 void write_manifest(const std::string& dir, const CheckpointManifest& m);
@@ -64,16 +62,6 @@ void write_manifest(const std::string& dir, const CheckpointManifest& m);
 void validate_manifest(const CheckpointManifest& on_disk,
                        const CheckpointManifest& expected,
                        const std::string& dir);
-
-// The shared tool-side load path: validates the manifest (when present) and
-// loads the tensors into `trainer`. Returns the manifest read from disk, or
-// the trainer's own manifest for legacy directories (sets *legacy = true so
-// the tool can print a warning — src/ itself stays silent per lint R3).
-// Throws std::runtime_error with a tool-quality message on any failure —
-// hero_eval and hero_serve both funnel through here so a bad checkpoint
-// fails the same way everywhere.
-CheckpointManifest load_checkpoint(HeroTrainer& trainer, const std::string& dir,
-                                   bool* legacy = nullptr);
 
 // Configures `cfg`'s network widths (high-level actor, opponent predictors,
 // skill SAC nets) from the shapes recorded in the manifest, making the

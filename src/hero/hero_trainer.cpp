@@ -68,11 +68,10 @@ void HeroTrainer::save(const std::string& dir) {
   }
 }
 
-void HeroTrainer::load(const std::string& dir) {
-  CheckpointManifest on_disk;
-  if (read_manifest(dir, &on_disk)) {
-    validate_manifest(on_disk, manifest_of(*this), dir);
-  }
+void HeroTrainer::load(const std::string& dir) { load(dir, read_manifest(dir)); }
+
+void HeroTrainer::load(const std::string& dir, const CheckpointManifest& on_disk) {
+  validate_manifest(on_disk, manifest_of(*this), dir);
   skills_.load(dir);
   for (std::size_t k = 0; k < agents_.size(); ++k) {
     const std::string base = dir + "/agent" + std::to_string(k);
@@ -89,12 +88,6 @@ void HeroTrainer::load(const std::string& dir) {
 
 void HeroTrainer::act_rows_into(const rl::ObsBatch& batch, Rng* const* rngs,
                                 bool explore, sim::TwistCmd* cmds_out) {
-  batched_act(batch, rngs, explore, cmds_out);
-}
-
-void HeroTrainer::batched_act(const rl::ObsBatch& batch, Rng* const* rngs,
-                              bool explore, sim::TwistCmd* cmds_out) {
-  if (!act_engine_) act_engine_ = std::make_unique<HeroActEngine>();
   // Sessions are keyed by slot index and survive across calls; growing the
   // batch appends fresh (unstarted) sessions without disturbing existing
   // slots.
@@ -103,8 +96,8 @@ void HeroTrainer::batched_act(const rl::ObsBatch& batch, Rng* const* rngs,
   for (std::size_t s = 0; s < batch.count(); ++s) {
     act_session_ptrs_[s] = &act_sessions_[s];
   }
-  act_engine_->act_rows(skills_, agents_, cfg_.high, cfg_.skill.termination,
-                        batch, act_session_ptrs_.data(), rngs, explore, cmds_out);
+  act_engine_.act_rows(skills_, agents_, cfg_.high, cfg_.skill.termination, batch,
+                       act_session_ptrs_.data(), rngs, explore, cmds_out);
 }
 
 void HeroTrainer::emit_episode_obs(int episode, const rl::EpisodeStats& stats,
@@ -209,7 +202,7 @@ void HeroTrainer::train(int episodes, Rng& rng, const algos::EpisodeHook& hook) 
   loop.on_step = [&](const rl::StepView& tick) {
     ++pending_update_steps_;  // the gradient clock counts batch steps
     OBS_PHASE("accumulate");
-    rollout_.on_step(tick, *act_engine_, act_sessions_, observing);
+    rollout_.on_step(tick, act_engine_, act_sessions_, observing);
   };
   loop.on_episode = [&](int episode, std::size_t lane, const rl::EpisodeStats& stats) {
     round[lane] = stats;

@@ -23,6 +23,8 @@
 
 namespace hero::core {
 
+struct CheckpointManifest;
+
 struct HeroConfig {
   SkillConfig skill;
   HighLevelConfig high;
@@ -82,13 +84,16 @@ class HeroTrainer : public rl::Controller {
   // Persists the full model (skill bank, per-agent high-level actor/critic,
   // opponent predictors) into `dir`, plus the versioned `checkpoint.json`
   // manifest (hero/checkpoint.h); load() restores into an identically
-  // configured trainer and throws std::runtime_error when the manifest
-  // declares an incompatible format or architecture (manifest-less legacy
-  // directories still load). Note: opponent predictors below their
-  // min-samples threshold still report the uniform prior after load (by
-  // design — the threshold guards deployment on untrained predictors).
+  // configured trainer. `on_disk` is dir's manifest (read_manifest(dir)),
+  // passed in by callers that read it first to size the model; load()
+  // validates it against this trainer and throws std::runtime_error when it
+  // declares an incompatible format or architecture. Note: opponent
+  // predictors below their min-samples threshold still report the uniform
+  // prior after load (by design — the threshold guards deployment on
+  // untrained predictors).
   void save(const std::string& dir);
   void load(const std::string& dir);
+  void load(const std::string& dir, const CheckpointManifest& on_disk);
 
   SkillBank& skills() { return skills_; }
   HeroAgent& agent(int k) { return *agents_[static_cast<std::size_t>(k)]; }
@@ -101,11 +106,6 @@ class HeroTrainer : public rl::Controller {
   const sim::Scenario& scenario() const { return scenario_; }
 
  private:
-  // act_rows_into body (the _into method must stay allocation-free; the
-  // engine and session pool grow here, on first use / batch growth only).
-  void batched_act(const rl::ObsBatch& batch, Rng* const* rngs, bool explore,
-                   sim::TwistCmd* cmds_out);
-
   // A round's end, under the `learn` phase: merges episodes [first,
   // first + count) (lanes 0..count−1, `stats` lane-indexed) into the
   // learners, runs the update rounds its batch steps earned, then reports
@@ -136,9 +136,9 @@ class HeroTrainer : public rl::Controller {
   BatchedRollout rollout_{cfg_.high};
   long pending_update_steps_ = 0;  // carries the batch-steps/update_every remainder
 
-  // The one action engine (training, evaluation, serving) and its per-slot
-  // sessions (lazy; see act_rows_into).
-  std::unique_ptr<HeroActEngine> act_engine_;
+  // The one action engine (training, evaluation, serving; its scratch
+  // starts empty) and its per-slot sessions (grown by act_rows_into).
+  HeroActEngine act_engine_;
   std::vector<HeroSession> act_sessions_;
   std::vector<HeroSession*> act_session_ptrs_;
 };

@@ -21,13 +21,11 @@ PolicyEngine::PolicyEngine(const sim::Scenario& scenario,
   // The manifest makes the checkpoint self-describing: adopt its network
   // widths before constructing the model, so one server binary serves
   // checkpoints of any --hidden size.
-  core::CheckpointManifest peek;
-  if (core::read_manifest(ckpt_dir, &peek)) {
-    core::apply_manifest_geometry(peek, &cfg_);
-  }
+  manifest_ = core::read_manifest(ckpt_dir);
+  core::apply_manifest_geometry(manifest_, &cfg_);
   Rng rng(kModelInitSeed);
   model_ = std::make_unique<core::HeroTrainer>(scenario_, cfg_, rng);
-  manifest_ = core::load_checkpoint(*model_, ckpt_dir, &legacy_);
+  model_->load(ckpt_dir, manifest_);
   batch_.configure(learners(), hl_dim(), ll_dim(), num_lanes());
 }
 
@@ -164,19 +162,14 @@ void PolicyEngine::reload(const std::string& ckpt_dir) {
   // across differently-sized checkpoints (the obs dims must still match —
   // validate_manifest enforces that).
   core::HeroConfig standby_cfg = cfg_;
-  core::CheckpointManifest peek;
-  if (core::read_manifest(ckpt_dir, &peek)) {
-    core::apply_manifest_geometry(peek, &standby_cfg);
-  }
+  core::CheckpointManifest manifest = core::read_manifest(ckpt_dir);
+  core::apply_manifest_geometry(manifest, &standby_cfg);
   Rng rng(kModelInitSeed);
   auto standby = std::make_unique<core::HeroTrainer>(scenario_, standby_cfg, rng);
-  bool legacy = false;
-  core::CheckpointManifest manifest = core::load_checkpoint(*standby, ckpt_dir,
-                                                            &legacy);
+  standby->load(ckpt_dir, manifest);
   model_ = std::move(standby);
   cfg_ = standby_cfg;
-  manifest_ = manifest;
-  legacy_ = legacy;
+  manifest_ = std::move(manifest);
   ++reloads_;
 }
 

@@ -42,8 +42,6 @@ class PolicyEngine {
   int num_lanes() const;
   double dt() const;
   const core::CheckpointManifest& manifest() const { return manifest_; }
-  // True when the active checkpoint predates manifests (loaded unvalidated).
-  bool legacy_checkpoint() const { return legacy_; }
 
   // Empty when `hello` matches the model; otherwise a client-facing
   // description of every dimension mismatch.
@@ -91,7 +89,6 @@ class PolicyEngine {
   core::HeroConfig cfg_;
   std::unique_ptr<core::HeroTrainer> model_;
   core::CheckpointManifest manifest_;
-  bool legacy_ = false;
   long reloads_ = 0;
 
   core::HeroActEngine engine_;

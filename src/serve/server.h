@@ -23,8 +23,8 @@
 //
 // Observability (when --metrics-out is set): serve.latency_us /
 // serve.batch_size / serve.queue_depth histograms plus request/response/
-// connection/reload counters — the p50/p99 and QPS numbers BENCH_serve.json
-// reports come from these.
+// connection/reload counters — perfbench's traced serve_fleet32 run reads
+// its serve.* layer metrics from these.
 #pragma once
 
 #include <cstdint>

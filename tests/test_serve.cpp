@@ -315,23 +315,19 @@ std::string make_checkpoint(const char* tag, const core::HeroConfig& cfg,
 
 TEST(CheckpointManifest, RoundTripsThroughDisk) {
   const std::string dir = make_checkpoint("ckpt_roundtrip", core::HeroConfig{});
-  core::CheckpointManifest m;
-  ASSERT_TRUE(core::read_manifest(dir, &m));
+  const core::CheckpointManifest m = core::read_manifest(dir);
   EXPECT_EQ(m.format_version, core::kCheckpointFormatVersion);
   EXPECT_EQ(m.learners, 3);
   EXPECT_FALSE(m.shapes.empty());
 
   // Rewrite and reread: the canonical JSON must survive its own parser.
   core::write_manifest(dir, m);
-  core::CheckpointManifest m2;
-  ASSERT_TRUE(core::read_manifest(dir, &m2));
-  EXPECT_EQ(core::manifest_to_json(m), core::manifest_to_json(m2));
+  EXPECT_EQ(core::manifest_to_json(m), core::manifest_to_json(core::read_manifest(dir)));
 }
 
 TEST(CheckpointManifest, RejectsVersionAndShapeMismatch) {
   const std::string dir = make_checkpoint("ckpt_tamper", core::HeroConfig{});
-  core::CheckpointManifest m;
-  ASSERT_TRUE(core::read_manifest(dir, &m));
+  const core::CheckpointManifest m = core::read_manifest(dir);
 
   core::CheckpointManifest bad = m;
   bad.format_version = core::kCheckpointFormatVersion + 1;
@@ -350,15 +346,17 @@ TEST(CheckpointManifest, RejectsVersionAndShapeMismatch) {
   EXPECT_THROW(
       { PolicyEngine engine(scenario, core::HeroConfig{}, dir); },
       std::runtime_error);
-}
 
-TEST(CheckpointManifest, LegacyDirectoryLoadsWithWarningFlag) {
-  const std::string dir = make_checkpoint("ckpt_legacy", core::HeroConfig{});
+  // A directory without a manifest is not a checkpoint: nothing loads
+  // unvalidated, and the error names the missing file.
   std::filesystem::remove(dir + "/checkpoint.json");
-  auto scenario = sim::cooperative_lane_change(3);
-  PolicyEngine engine(scenario, core::HeroConfig{}, dir);
-  EXPECT_TRUE(engine.legacy_checkpoint());
-  EXPECT_EQ(engine.learners(), 3);
+  try {
+    PolicyEngine engine(scenario, core::HeroConfig{}, dir);
+    FAIL() << "manifest-less directory accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("checkpoint.json: missing"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CheckpointManifest, GeometryAppliesFromShapes) {
@@ -396,8 +394,7 @@ std::string manifest_error_for(const std::string& dir, const std::string& text) 
   auto read = std::make_unique<std::future<std::string>>(
       std::async(std::launch::async, [dir]() -> std::string {
         try {
-          core::CheckpointManifest m;
-          core::read_manifest(dir, &m);
+          core::read_manifest(dir);
           return "returned without an error";
         } catch (const std::runtime_error& e) {
           return e.what();
@@ -688,9 +685,14 @@ TEST(ServingEquivalence, ReloadAcrossWidthsAdoptsNewGeometry) {
   engine.act_batch({session}, {&req}, &resp);
   EXPECT_EQ(resp[0].request_id, 2u);
 
-  // Reload rejection leaves the active (wide) model serving.
+  // Reload rejection leaves the active (wide) model serving. A copy of the
+  // wide checkpoint without its manifest is rejected like a missing one.
   const ActResponse wide_answer = resp[0];
   EXPECT_THROW(engine.reload(dir_wide + "/nonexistent"), std::runtime_error);
+  const std::string dir_bare = fresh_dir("ckpt_bare");
+  std::filesystem::copy(dir_wide, dir_bare, std::filesystem::copy_options::recursive);
+  std::filesystem::remove(dir_bare + "/checkpoint.json");
+  EXPECT_THROW(engine.reload(dir_bare), std::runtime_error);
   req.request_id = 3;
   engine.act_batch({session}, {&req}, &resp);
   EXPECT_EQ(resp[0].request_id, 3u);
@@ -701,8 +703,7 @@ TEST(ServingEquivalence, ReloadAcrossWidthsAdoptsNewGeometry) {
   // the same request bit for bit.
   const std::string dir_huge = fresh_dir("ckpt_huge");
   std::filesystem::copy(dir_wide, dir_huge, std::filesystem::copy_options::recursive);
-  core::CheckpointManifest huge;
-  ASSERT_TRUE(core::read_manifest(dir_huge, &huge));
+  core::CheckpointManifest huge = core::read_manifest(dir_huge);
   huge.shapes["agent0_actor"] = "34:400000000:4";
   core::write_manifest(dir_huge, huge);
   EXPECT_THROW(engine.reload(dir_huge), std::runtime_error);

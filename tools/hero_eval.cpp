@@ -50,13 +50,12 @@ int main(int argc, char** argv) {
     scenario = sim::cooperative_lane_change(learners);
   }
   core::HeroConfig cfg;
+  core::CheckpointManifest on_disk;
   try {
     // Checkpoints are self-describing: adopt the manifest's network widths
     // so --hidden checkpoints evaluate without extra geometry flags.
-    core::CheckpointManifest peek;
-    if (core::read_manifest(ckpt, &peek)) {
-      core::apply_manifest_geometry(peek, &cfg);
-    }
+    on_disk = core::read_manifest(ckpt);
+    core::apply_manifest_geometry(on_disk, &cfg);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "hero_eval: %s\n", e.what());
     return 1;
@@ -75,17 +74,11 @@ int main(int argc, char** argv) {
     obs::set_run_manifest(manifest);
   }
 
-  bool legacy = false;
   try {
-    core::load_checkpoint(trainer, ckpt, &legacy);
+    trainer.load(ckpt, on_disk);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "hero_eval: %s\n", e.what());
     return 1;
-  }
-  if (legacy) {
-    std::printf("warning: %s/ has no checkpoint.json manifest (legacy "
-                "checkpoint, loaded unvalidated)\n",
-                ckpt.c_str());
   }
   std::printf("loaded checkpoint from %s/\n", ckpt.c_str());
 

@@ -18,13 +18,12 @@
 // server runs is driven directly, C concurrent sessions per scheduling tick,
 // once with cross-request batching (one act_batch of C) and once batch-size-1
 // (C act_batch calls), same worlds, same tick count. This isolates the fused
-// pass from transport noise and produces the BENCH_serve.json gate numbers.
-// --min-speedup gates the median per-request cost: each side's median tick
-// (every client served once) over the client count, b1 against batched.
+// pass from transport noise. --min-speedup gates the median per-request
+// cost: each side's median tick (every client served once) over the client
+// count, b1 against batched.
 //
 //   hero_loadgen --in-process --ckpt ckpt/ [--clients 16] [--ticks 200]
-//                [--warmup 20] [--bench-out BENCH_serve.json]
-//                [--min-speedup 2.0]
+//                [--warmup 20] [--min-speedup 2.0]
 //
 // Both modes accept the observability flags (--metrics-out/--metrics-every/
 // --telemetry-out) with the same rejection rules as every other tool.
@@ -388,19 +387,10 @@ BenchResult run_in_process(serve::PolicyEngine& engine, int clients, int ticks,
 }
 
 int run_in_process_mode(const std::string& ckpt, int clients, int ticks,
-                        int warmup, unsigned seed, const std::string& bench_out,
-                        double min_speedup) {
+                        int warmup, unsigned seed, double min_speedup) {
   core::HeroConfig cfg;
-  core::CheckpointManifest peek;
-  int learners = 3;
-  if (core::read_manifest(ckpt, &peek)) learners = peek.learners;
-  auto scenario = sim::cooperative_lane_change(learners);
+  auto scenario = sim::cooperative_lane_change(core::read_manifest(ckpt).learners);
   serve::PolicyEngine engine(scenario, cfg, ckpt);
-  if (engine.legacy_checkpoint()) {
-    std::printf("warning: %s/ has no checkpoint.json manifest (legacy "
-                "checkpoint, loaded unvalidated)\n",
-                ckpt.c_str());
-  }
 
   const BenchResult batched = run_in_process(
       engine, clients, ticks, warmup, seed, static_cast<std::size_t>(clients));
@@ -425,27 +415,6 @@ int run_in_process_mode(const std::string& ckpt, int clients, int ticks,
   std::printf("  median per-request cost: b%d %.3f us, b1 %.3f us (%.2fx)\n",
               clients, batched.tick_cost_p50_us / clients,
               single.tick_cost_p50_us / clients, cost_speedup);
-
-  if (!bench_out.empty()) {
-    std::FILE* f = std::fopen(bench_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "hero_loadgen: cannot write %s\n",
-                   bench_out.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\"benchmarks\": [\n");
-    std::fprintf(f, "  {\"name\": \"ServeQps/b%d\", \"qps\": %.2f},\n", clients,
-                 batched.qps);
-    std::fprintf(f, "  {\"name\": \"ServeQps/b1\", \"qps\": %.2f},\n",
-                 single.qps);
-    std::fprintf(f, "  {\"name\": \"ServeLatencyP50/b%d\", \"us\": %.3f},\n",
-                 clients, batched.lat.p50_us);
-    std::fprintf(f, "  {\"name\": \"ServeLatencyP99/b%d\", \"us\": %.3f}\n",
-                 clients, batched.lat.p99_us);
-    std::fprintf(f, "]}\n");
-    std::fclose(f);
-    std::printf("  bench written to %s\n", bench_out.c_str());
-  }
 
   if (min_speedup > 0.0 && cost_speedup < min_speedup) {
     std::fprintf(stderr,
@@ -477,7 +446,6 @@ int main(int argc, char** argv) {
   const int reload_every = flags.get_int("reload-every", 0);
   const std::string reload_dir = flags.get_string("reload-dir", ckpt);
   const bool shutdown_after = flags.get_bool("shutdown", false);
-  const std::string bench_out = flags.get_string("bench-out", "");
   const double min_speedup = flags.get_double("min-speedup", 0.0);
   const int learners = flags.get_int("learners", 3);
   const obs::Outputs obs_out = obs::configure(flags);
@@ -503,8 +471,7 @@ int main(int argc, char** argv) {
   int rc = 0;
   try {
     if (in_process) {
-      rc = run_in_process_mode(ckpt, clients, ticks, warmup, seed, bench_out,
-                               min_speedup);
+      rc = run_in_process_mode(ckpt, clients, ticks, warmup, seed, min_speedup);
     } else {
       SocketRun run;
       run.socket_path = socket_path;

@@ -61,10 +61,8 @@ int main(int argc, char** argv) {
   // --learners 0 means "whatever the checkpoint was trained with": peek at
   // the manifest so operators don't have to repeat training geometry.
   if (learners <= 0) {
-    core::CheckpointManifest peek;
-    learners = 3;
     try {
-      if (core::read_manifest(ckpt, &peek)) learners = peek.learners;
+      learners = core::read_manifest(ckpt).learners;
     } catch (const std::exception& e) {
       std::fprintf(stderr, "hero_serve: %s\n", e.what());
       return 1;
@@ -75,12 +73,6 @@ int main(int argc, char** argv) {
   core::HeroConfig cfg;
   try {
     serve::PolicyEngine engine(scenario, cfg, ckpt);
-    if (engine.legacy_checkpoint()) {
-      std::printf(
-          "warning: %s/ has no checkpoint.json manifest (legacy checkpoint, "
-          "loaded unvalidated)\n",
-          ckpt.c_str());
-    }
     serve::ServerConfig server_cfg;
     server_cfg.socket_path = socket_path;
     server_cfg.batcher.max_batch = static_cast<std::size_t>(max_batch);

@@ -18,8 +18,7 @@
 #                        The floor asserted here (>= 1.5x best-of-N) is
 #                        deliberately below the ~2x the reference box
 #                        measures (docs/SERVING.md §Throughput): this smoke
-#                        runs on noisy shared CI hardware. BENCH_serve.json
-#                        (tools/run_benchmarks.sh) records the real numbers.
+#                        runs on noisy shared CI hardware.
 #   5. in-process gate — hero_loadgen --in-process must report a fused-pass
 #                        speedup >= 1.1x (transport-free lower bound).
 #
@@ -163,11 +162,8 @@ echo "ok: cross-request batching up to ${best_ratio}x over batch-size-1"
 
 # --- 5. in-process fused-pass gate ----------------------------------------
 "$loadgen" --in-process --ckpt "$work/ckpt" --clients 16 --ticks 200 \
-    --warmup 20 --min-speedup 1.1 --bench-out "$work/BENCH_serve.json" \
-    > "$work/inproc.log" \
+    --warmup 20 --min-speedup 1.1 > "$work/inproc.log" \
     || { echo "FAIL: in-process speedup below 1.1x"; cat "$work/inproc.log"; exit 1; }
-grep -q '"ServeQps/b16"' "$work/BENCH_serve.json" \
-    || { echo "FAIL: BENCH_serve.json carries no ServeQps entries"; exit 1; }
-echo "ok: in-process fused pass >= 1.1x, bench entries written"
+echo "ok: in-process fused pass >= 1.1x"
 
 echo "serve-smoke PASSED"
