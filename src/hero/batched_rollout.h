@@ -16,8 +16,9 @@
 //
 // The hook reads the engine's selections and never touches the learner;
 // all replay buffers are filled at merge time by HeroTrainer::train.
-// Single-threaded by design: batching, not threading, is the throughput
-// lever here (docs/PARALLELISM.md).
+// The hook runs on the collecting thread: collection batches across lanes
+// rather than threads. The updates after the merge are what fans out, one
+// pool task per learner (docs/PARALLELISM.md §HERO).
 #pragma once
 
 #include <vector>

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "hero/high_level.h"
 
@@ -27,8 +28,21 @@ class HeroAgent {
   HeroAgent(std::size_t hl_obs_dim, int num_opponents, const HighLevelConfig& high,
             const OpponentModelConfig& opponent, Rng& rng);
 
-  // One gradient step on the high-level networks and the opponent models.
+  // One update round: a gradient step on each opponent predictor past its
+  // min-samples threshold, then on the high-level critic and actor once
+  // past warm-up. It is draw() then apply().
   AgentUpdateStats update(Rng& rng);
+
+  // Appends one round's replay indices to `out` in update()'s draw order:
+  // opponent slots j = 0..n−2 past min_samples, then the high-level batch
+  // past warm-up — round_indices() of them.
+  void draw(Rng& rng, std::vector<std::size_t>& out) const;
+  // The round's gradient steps over indices draw() laid out since the last
+  // store or observe. Reads and writes nothing outside this agent, so
+  // different agents' applies can run on different threads.
+  AgentUpdateStats apply(const std::size_t* idx);
+  // How many indices one round draws; constant between merges.
+  std::size_t round_indices() const;
 
   HighLevelAgent& high_level() { return *high_; }
   OpponentModel& opponents() { return *opponents_; }
@@ -36,6 +50,7 @@ class HeroAgent {
  private:
   std::unique_ptr<HighLevelAgent> high_;
   std::unique_ptr<OpponentModel> opponents_;
+  std::vector<std::size_t> drawn_;  // update()'s indices
 };
 
 }  // namespace hero::core

@@ -12,12 +12,21 @@
 
 namespace hero::core {
 
+namespace {
+// Replay indices one block of update rounds may hold drawn ahead (8 bytes
+// each, so 1 MiB). A block is as many whole rounds as fit, and at least
+// one: coop3 draws 576 indices a round, so its whole learn round is one
+// block; dense_traffic at V = 64 draws 147456, so each round is a block.
+constexpr std::size_t kDrawBudget = std::size_t{1} << 17;
+}  // namespace
+
 HeroTrainer::HeroTrainer(const sim::Scenario& scenario, const HeroConfig& cfg,
                          Rng& rng)
     : scenario_(scenario),
       cfg_(cfg),
       world_(scenario.config),
       skills_(world_.low_level_obs_dim(), cfg.skill, rng) {
+  HERO_CHECK_MSG(cfg_.update_every > 0, "update_every must be positive");
   const int n = world_.num_learners();
   for (int k = 0; k < n; ++k) {
     agents_.push_back(std::make_unique<HeroAgent>(
@@ -215,6 +224,20 @@ void HeroTrainer::train(int episodes, Rng& rng, const algos::EpisodeHook& hook) 
   rl::run_episodes(loop, *lanes_, root, episodes);
 }
 
+void HeroTrainer::for_each_learner(const std::function<void(std::size_t)>& fn) {
+  if (learner_threads_ == 0) {
+    learner_threads_ = std::min(agents_.size(), runtime::affinity_cpus());
+    if (learner_threads_ > 1) {
+      learner_pool_ = std::make_unique<runtime::ThreadPool>(learner_threads_);
+    }
+  }
+  if (learner_pool_) {
+    learner_pool_->parallel_for(agents_.size(), fn);
+    return;
+  }
+  for (std::size_t k = 0; k < agents_.size(); ++k) fn(k);
+}
+
 void HeroTrainer::learn_round(int first, const std::vector<rl::EpisodeStats>& stats,
                               std::size_t count, Rng& rng,
                               const algos::EpisodeHook& hook, bool observing,
@@ -252,12 +275,39 @@ void HeroTrainer::learn_round(int first, const std::vector<rl::EpisodeStats>& st
   // every live lane, so at batch_envs = E this runs ~E× fewer update
   // rounds per environment step than one lane does, with the remainder
   // carried across rounds.
+  const long rounds = pending_update_steps_ / cfg_.update_every;
+  pending_update_steps_ -= rounds * cfg_.update_every;
   RunningStat critic_loss, actor_entropy, critic_gn, actor_gn, opp_loss;
-  while (pending_update_steps_ >= cfg_.update_every) {
-    pending_update_steps_ -= cfg_.update_every;
-    for (auto& agent : agents_) {
-      const AgentUpdateStats us = agent->update(rng);
-      if (!observing) continue;
+  // The learners share nothing (paper Sec. III-C), so each one's rounds run
+  // as one task. Every rng draw stays on this thread, in the order of one
+  // thread stepping the agents round by round, which makes the result
+  // independent of the pool width (docs/PARALLELISM.md).
+  const std::size_t n_agents = agents_.size();
+  std::size_t round_indices = 0;
+  for (const auto& agent : agents_) round_indices += agent->round_indices();
+  const long block = std::max<long>(
+      1, static_cast<long>(kDrawBudget / std::max<std::size_t>(round_indices, 1)));
+  draws_.resize(n_agents);
+  for (long done = 0; done < rounds; done += block) {
+    const long count = std::min(block, rounds - done);
+    {
+      OBS_PHASE("replay");
+      for (auto& d : draws_) d.clear();
+      for (long r = 0; r < count; ++r) {
+        for (std::size_t k = 0; k < n_agents; ++k) agents_[k]->draw(rng, draws_[k]);
+      }
+    }
+    update_stats_.resize(static_cast<std::size_t>(count) * n_agents);
+    for_each_learner([&](std::size_t k) {
+      HeroAgent& agent = *agents_[k];
+      const std::size_t stride = agent.round_indices();
+      for (long r = 0; r < count; ++r) {
+        const std::size_t ri = static_cast<std::size_t>(r);
+        update_stats_[ri * n_agents + k] = agent.apply(draws_[k].data() + ri * stride);
+      }
+    });
+    if (!observing) continue;
+    for (const AgentUpdateStats& us : update_stats_) {  // (round, agent) order
       if (us.high.updated) {
         critic_loss.add(us.high.critic_loss);
         actor_entropy.add(us.high.actor_entropy);

@@ -11,8 +11,10 @@
 // the Table II domain-shifted world) runs it like any baseline.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "algos/common.h"
 #include "common/stats.h"
@@ -39,7 +41,9 @@ struct HeroConfig {
   // lockstep through one vectorized BatchLaneWorld on a single thread, with
   // every per-step network evaluation batched across lanes and gradient
   // updates clocked per *batch* step. 0 and 1 both collect one episode at a
-  // time. Stage 2 is deterministic for a fixed (seed, batch_envs) pair.
+  // time. The updates run one pool task per learner, at a width the code
+  // takes from the CPUs it may use, which never changes a result. Stage 2
+  // is deterministic for a fixed (seed, batch_envs) pair.
   int batch_envs = 0;
 };
 
@@ -61,8 +65,9 @@ class HeroTrainer : public rl::Controller {
   // drawn from `rng` per call, with this trainer as the exploring
   // controller and BatchedRollout as the step hook. At each round's end it
   // merges the round into the learners' buffers in episode order, then
-  // runs one update round (drawing from `rng`) per `update_every` batch
-  // steps.
+  // runs one update round per `update_every` batch steps: their replay
+  // draws from `rng` on this thread, each learner's gradient steps as one
+  // task on the learner pool (docs/PARALLELISM.md §HERO).
   void train(int episodes, Rng& rng, const algos::EpisodeHook& hook = {});
 
   // --- rl::Controller (training, deployment, evaluation) ---
@@ -108,11 +113,17 @@ class HeroTrainer : public rl::Controller {
  private:
   // A round's end, under the `learn` phase: merges episodes [first,
   // first + count) (lanes 0..count−1, `stats` lane-indexed) into the
-  // learners, runs the update rounds its batch steps earned, then reports
-  // each episode to telemetry and `hook`.
+  // learners, runs the update rounds its batch steps earned (their draws
+  // here, each learner's applies as one for_each_learner task), then
+  // reports each episode to telemetry and `hook`.
   void learn_round(int first, const std::vector<rl::EpisodeStats>& stats,
                    std::size_t count, Rng& rng, const algos::EpisodeHook& hook,
                    bool observing, double round_start_us);
+
+  // Runs fn(k) for every learner k: as tasks on the learner pool, which the
+  // first call builds at min(learners, CPUs in the calling thread's
+  // affinity mask) threads, or inline at width 1.
+  void for_each_learner(const std::function<void(std::size_t)>& fn);
 
   // Shared telemetry/metrics emission for one finished episode.
   void emit_episode_obs(int episode, const rl::EpisodeStats& stats, long switches,
@@ -141,6 +152,14 @@ class HeroTrainer : public rl::Controller {
   HeroActEngine act_engine_;
   std::vector<HeroSession> act_sessions_;
   std::vector<HeroSession*> act_session_ptrs_;
+
+  // Stage-2 updates: each learner's drawn replay indices for one block of
+  // rounds, the block's stats (round-major), and the learner pool (lazy,
+  // null at width 1; learner_threads_ is 0 until the first update round).
+  std::vector<std::vector<std::size_t>> draws_;
+  std::vector<AgentUpdateStats> update_stats_;
+  std::size_t learner_threads_ = 0;
+  std::unique_ptr<runtime::ThreadPool> learner_pool_;
 };
 
 }  // namespace hero::core

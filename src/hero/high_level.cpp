@@ -60,14 +60,26 @@ int HighLevelAgent::select_from_probs(const HighLevelConfig& cfg,
 }
 
 HighLevelUpdateStats HighLevelAgent::update(OpponentModel& opponents, Rng& rng) {
-  if (!buffer_.ready(std::max(cfg_.batch, cfg_.warmup_transitions))) return {};
+  if (!ready()) return {};
+  drawn_.clear();
+  {
+    OBS_PHASE("replay");
+    draw(rng, drawn_);
+  }
+  return apply(opponents, drawn_.data());
+}
+
+void HighLevelAgent::draw(Rng& rng, std::vector<std::size_t>& out) const {
+  if (ready()) buffer_.draw_indices(cfg_.batch, rng, out);
+}
+
+HighLevelUpdateStats HighLevelAgent::apply(OpponentModel& opponents,
+                                           const std::size_t* idx) {
   HighLevelUpdateStats stats;
   stats.updated = true;
 
-  const auto batch = [&] {
-    OBS_PHASE("replay");
-    return buffer_.sample(cfg_.batch, rng);
-  }();
+  buffer_.gather(idx, cfg_.batch, batch_);
+  const auto& batch = batch_;
   const std::size_t B = batch.size();
 
   // Fills blocks_ (B × opp_dim) with the opponent blocks for one batch-wide

@@ -12,6 +12,7 @@
 // with discounted accumulated reward and a γ^c bootstrap.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -95,7 +96,20 @@ class HighLevelAgent {
 
   // One actor+critic gradient step; TD-targets query `opponents` on the
   // stored next observations (always the latest model, per the paper).
+  // Below warm-up it draws nothing and returns {updated = false}. It is
+  // draw() then apply(), like OpponentModel::update.
   HighLevelUpdateStats update(OpponentModel& opponents, Rng& rng);
+  // True once the replay holds max(batch, warm-up) transitions.
+  bool ready() const {
+    return buffer_.ready(std::max(cfg_.batch, cfg_.warmup_transitions));
+  }
+  // Appends the minibatch's batch() indices to `out` when ready(); otherwise
+  // draws nothing.
+  void draw(Rng& rng, std::vector<std::size_t>& out) const;
+  // The actor+critic step over batch() indices from draw(), made since the
+  // last store(). Touches only this agent and `opponents`.
+  HighLevelUpdateStats apply(OpponentModel& opponents, const std::size_t* idx);
+  std::size_t batch() const { return cfg_.batch; }
 
   nn::Mlp& critic() { return critic_; }
   nn::CategoricalPolicy& actor() { return actor_; }
@@ -125,6 +139,8 @@ class HighLevelAgent {
   nn::Matrix actor_in_, q_in_, cin_, target_m_, closs_grad_;
   nn::Matrix probs_, logp_, dlogits_, blocks_, obs_rows_;
   std::vector<double> targets_;
+  std::vector<std::size_t> drawn_;
+  std::vector<const OptionTransition*> batch_;
 };
 
 }  // namespace hero::core

@@ -96,16 +96,26 @@ void OpponentModel::observe(int j, std::vector<double> obs, Option option) {
 }
 
 double OpponentModel::update(int j, Rng& rng) {
-  auto& buffer = buffers_[static_cast<std::size_t>(j)];
-  if (buffer.size() < cfg_.min_samples) return 0.0;
-  auto batch = buffer.sample(cfg_.batch, rng);
-  const std::size_t B = batch.size();
+  if (!ready(j)) return 0.0;
+  drawn_.clear();
+  draw(j, rng, drawn_);
+  return apply(j, drawn_.data());
+}
+
+void OpponentModel::draw(int j, Rng& rng, std::vector<std::size_t>& out) const {
+  if (!ready(j)) return;
+  buffers_[static_cast<std::size_t>(j)].draw_indices(cfg_.batch, rng, out);
+}
+
+double OpponentModel::apply(int j, const std::size_t* idx) {
+  const auto& buffer = buffers_[static_cast<std::size_t>(j)];
+  const std::size_t B = cfg_.batch;
 
   auto& net = nets_[static_cast<std::size_t>(j)];
   obs_m_.resize(B, net.in_dim());
   labels_.resize(B);
   for (std::size_t b = 0; b < B; ++b) {
-    const Sample& s = *batch[b];
+    const Sample& s = buffer.at(idx[b]);
     std::copy(s.obs.begin(), s.obs.end(), obs_m_.row_ptr(b));
     labels_[b] = static_cast<std::size_t>(s.option);
   }
@@ -139,13 +149,6 @@ double OpponentModel::update(int j, Rng& rng) {
   losses_[static_cast<std::size_t>(j)].push_back(loss);
   trained_ = true;
   return loss;
-}
-
-std::vector<double> OpponentModel::update_all(Rng& rng) {
-  std::vector<double> out;
-  out.reserve(nets_.size());
-  for (int j = 0; j < num_opponents(); ++j) out.push_back(update(j, rng));
-  return out;
 }
 
 }  // namespace hero::core

@@ -72,10 +72,18 @@ class OpponentModel {
   void observe(int j, std::vector<double> obs, Option option);
 
   // One gradient step on opponent j's predictor; returns the loss (NaN-free;
-  // 0 when below min_samples). update_all() steps every predictor and
-  // appends to the per-opponent loss history (the Fig. 10 curves).
+  // 0 when below min_samples, where it draws nothing) and appends it to the
+  // per-opponent loss history (the Fig. 10 curves). It is draw() then
+  // apply(): stage 2 draws every learner's indices on the trainer's thread
+  // and applies them in the learners' pool tasks (docs/PARALLELISM.md).
   double update(int j, Rng& rng);
-  std::vector<double> update_all(Rng& rng);
+  // Appends predictor j's minibatch indices (batch() of them) to `out` when
+  // ready(j); otherwise draws nothing.
+  void draw(int j, Rng& rng, std::vector<std::size_t>& out) const;
+  // The gradient step on predictor j over batch() indices from draw(), made
+  // since the last observe(); returns the loss. Touches only this model.
+  double apply(int j, const std::size_t* idx);
+  std::size_t batch() const { return cfg_.batch; }
 
   const std::vector<std::vector<double>>& loss_history() const { return losses_; }
 
@@ -104,7 +112,7 @@ class OpponentModel {
 
   // Prediction/update scratch (resized in place).
   nn::Matrix obs_row_, obs_m_, ce_grad_, probs_, logp_;
-  std::vector<std::size_t> labels_;
+  std::vector<std::size_t> labels_, drawn_;
 };
 
 }  // namespace hero::core

@@ -86,6 +86,27 @@ void phase_exit(PhaseNode* node, unsigned sinks, std::uint64_t start_ns,
 
 }  // namespace detail
 
+std::vector<const char*> current_phase_path() {
+  std::vector<const char*> path;
+  if (detail::sinks() == 0 || !detail::t_tree) return path;
+  for (const detail::PhaseNode* node = detail::t_tree->current;
+       node != &detail::t_tree->root; node = node->parent) {
+    path.push_back(node->name);
+  }
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
+AdoptPhasePath::AdoptPhasePath(const std::vector<const char*>& path) {
+  if (path.empty()) return;
+  saved_ = detail::local_tree().current;
+  for (const char* name : path) detail::phase_enter(name);
+}
+
+AdoptPhasePath::~AdoptPhasePath() {
+  if (saved_) detail::local_tree().current = saved_;
+}
+
 double now_us() {
   return static_cast<double>(detail::clock_ns() - detail::epoch_ns()) * 1e-3;
 }

@@ -27,9 +27,13 @@
 // mutex only on first sighting of that (parent, name) edge; afterwards
 // entering a scope is one child lookup by pointer identity and a clock read.
 // PhaseRegistry::snapshot() merges all per-thread trees by name, so phases
-// recorded on pool workers (docs/PARALLELISM.md) fold into one tree —
-// worker-side phases appear as top-level entries of the merged tree because
-// each worker's stack starts at its own root.
+// recorded on pool workers (docs/PARALLELISM.md) fold into one tree. A
+// runtime::ThreadPool::parallel_for task first enters its submitter's path
+// in its own tree, untimed (AdoptPhasePath), so the scopes it opens merge
+// under the caller's scope ("stage2/learn/update" from a learner task).
+// Their totals then sum thread time across the fan-out, while the caller's
+// own scope keeps its wall clock. Scopes a worker opens outside any task
+// (`pool_idle`) stay top-level.
 //
 // With every sink off (the default), constructing a scope is one relaxed
 // load of the sink word (obs/metrics.h): no clock read, no allocation, no
@@ -92,6 +96,24 @@ void phase_exit(PhaseNode* node, unsigned sinks, std::uint64_t start_ns,
 inline void set_phases_enabled(bool on) {
   detail::set_sink(detail::kPhaseSink, on);
 }
+
+// The calling thread's open scopes, outermost first; empty while every sink
+// is off.
+std::vector<const char*> current_phase_path();
+
+// Enters `path` (another thread's current_phase_path()) in the calling
+// thread's tree without timing it, and returns to where it was on
+// destruction. Scopes opened in between nest under the path.
+class AdoptPhasePath {
+ public:
+  explicit AdoptPhasePath(const std::vector<const char*>& path);
+  ~AdoptPhasePath();
+  AdoptPhasePath(const AdoptPhasePath&) = delete;
+  AdoptPhasePath& operator=(const AdoptPhasePath&) = delete;
+
+ private:
+  detail::PhaseNode* saved_ = nullptr;  // null: nothing was entered
+};
 
 // Microseconds on the scopes' clock since process start.
 double now_us();

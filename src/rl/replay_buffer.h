@@ -51,6 +51,24 @@ class ReplayBuffer {
     return out;
   }
 
+  // sample() split in two, for callers that draw on one thread and compute
+  // on another: draw_indices() appends exactly sample()'s rng draws to
+  // `out`, and gather() turns them into sample()'s pointers. The indices
+  // stay valid until the next add().
+  void draw_indices(std::size_t batch, Rng& rng, std::vector<std::size_t>& out) const {
+    HERO_CHECK(!data_.empty());
+    HERO_DCHECK_MSG(batch > 0, "ReplayBuffer::draw_indices with empty batch");
+    for (std::size_t i = 0; i < batch; ++i) out.push_back(rng.index(data_.size()));
+  }
+  void gather(const std::size_t* idx, std::size_t n,
+              std::vector<const Transition*>& out) const {
+    out.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      HERO_DCHECK(idx[i] < data_.size());
+      out[i] = &data_[idx[i]];
+    }
+  }
+
   const Transition& at(std::size_t i) const { return data_[i]; }
 
  private:

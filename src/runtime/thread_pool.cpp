@@ -1,5 +1,8 @@
 #include "runtime/thread_pool.h"
 
+#include <sched.h>
+
+#include <algorithm>
 #include <atomic>
 #include <memory>
 
@@ -105,8 +108,12 @@ void ThreadPool::parallel_for(std::size_t n,
   auto latch = std::make_shared<Latch>(n);
   auto next = std::make_shared<std::atomic<std::size_t>>(0);
   const std::size_t tasks = std::min(n, size());
+  // Copied into each task: a task can start after the last index ran and
+  // this call returned.
+  const std::vector<const char*> path = obs::current_phase_path();
   for (std::size_t t = 0; t < tasks; ++t) {
-    submit([latch, next, n, &fn] {
+    submit([latch, next, n, &fn, path] {
+      const obs::AdoptPhasePath adopt(path);
       for (;;) {
         const std::size_t i = next->fetch_add(1, std::memory_order_relaxed);
         if (i >= n) break;
@@ -116,6 +123,15 @@ void ThreadPool::parallel_for(std::size_t n,
     });
   }
   latch->wait();
+}
+
+std::size_t affinity_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) {
+    return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  }
+  return static_cast<std::size_t>(std::max(1, CPU_COUNT(&set)));
 }
 
 }  // namespace hero::runtime

@@ -16,6 +16,10 @@
 // must not submit nested parallel_for calls from inside pool workers — the
 // learner thread is the single orchestrator.
 //
+// parallel_for's tasks run inside the submitting thread's OBS_PHASE path
+// (obs::AdoptPhasePath), so the scopes fn opens nest under the caller's
+// scope in the merged phase tree and the trace.
+//
 // Instrumented via src/obs: `runtime.pool.threads` gauge,
 // `runtime.pool.tasks` counter and a `runtime.pool.queue_depth` histogram
 // observed at submit time (docs/OBSERVABILITY.md naming scheme).
@@ -59,5 +63,10 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_ HERO_GUARDED_BY(mu_);
   bool stop_ HERO_GUARDED_BY(mu_) = false;
 };
+
+// CPUs in the calling thread's affinity mask, at least 1: the threads that
+// can run at once for a pool this thread builds (its workers inherit the
+// mask).
+std::size_t affinity_cpus();
 
 }  // namespace hero::runtime

@@ -5,10 +5,12 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <sstream>
 
 #include "hero/act_engine.h"
 #include "hero/batched_rollout.h"
 #include "hero/hero_agent.h"
+#include "nn/serialize.h"
 #include "rl/episode_runner.h"
 #include "sim/scenario.h"
 
@@ -265,6 +267,77 @@ TEST(HeroAgent, LaneChangeTargetsOtherLane) {
   EXPECT_TRUE(saw_change);
 }
 
+// Every network of `agent`, serialized: a bitwise fingerprint.
+std::string agent_params(HeroAgent& agent) {
+  std::ostringstream os;
+  nn::save_params(agent.high_level().actor().net(), os);
+  nn::save_params(agent.high_level().critic(), os);
+  for (int j = 0; j < agent.opponents().num_opponents(); ++j) {
+    nn::save_params(agent.opponents().net(j), os);
+  }
+  return os.str();
+}
+
+TEST(HeroAgent, DrawThenApplyMatchesUpdate) {
+  // Stage 2 draws R rounds of replay indices first and applies them later
+  // (on a pool task); that must equal R interleaved update() calls, bit for
+  // bit, rng included. Opponent slot 1 stays below min_samples, so the
+  // layout skips it.
+  OpponentModelConfig opp_cfg;
+  opp_cfg.batch = 8;
+  opp_cfg.min_samples = 24;
+  auto make = [&] {
+    Rng init(61);
+    auto agent = std::make_unique<HeroAgent>(4, 2, fast_high(), opp_cfg, init);
+    Rng data(62);
+    for (int i = 0; i < 40; ++i) {
+      const std::vector<double> obs = {data.uniform(), data.uniform(), data.uniform(), 0.5};
+      const int o = static_cast<int>(data.index(kNumOptions));
+      agent->high_level().store({obs, std::vector<double>(2 * kNumOptions, 0.25), o,
+                                 data.normal(), 0.9, obs, i % 7 == 0});
+      agent->opponents().observe(0, obs, option_from_index(o));
+      if (i < 10) agent->opponents().observe(1, obs, option_from_index(o));
+    }
+    return agent;
+  };
+  constexpr int kRounds = 5;
+  auto serial = make();
+  auto split = make();
+  ASSERT_TRUE(serial->opponents().ready(0));
+  ASSERT_FALSE(serial->opponents().ready(1));
+  ASSERT_TRUE(serial->high_level().ready());
+
+  Rng rng_serial(63), rng_split(63);
+  std::vector<AgentUpdateStats> want, got;
+  for (int r = 0; r < kRounds; ++r) want.push_back(serial->update(rng_serial));
+
+  std::vector<std::size_t> idx;
+  for (int r = 0; r < kRounds; ++r) split->draw(rng_split, idx);
+  const std::size_t stride = split->round_indices();
+  EXPECT_EQ(stride, opp_cfg.batch + fast_high().batch);
+  ASSERT_EQ(idx.size(), kRounds * stride);
+  for (int r = 0; r < kRounds; ++r) {
+    got.push_back(split->apply(idx.data() + static_cast<std::size_t>(r) * stride));
+  }
+
+  for (int r = 0; r < kRounds; ++r) {
+    const auto& a = want[static_cast<std::size_t>(r)];
+    const auto& b = got[static_cast<std::size_t>(r)];
+    EXPECT_TRUE(b.high.updated);
+    EXPECT_EQ(a.high.updated, b.high.updated);
+    EXPECT_EQ(a.high.critic_loss, b.high.critic_loss);
+    EXPECT_EQ(a.high.actor_entropy, b.high.actor_entropy);
+    EXPECT_EQ(a.high.critic_grad_norm, b.high.critic_grad_norm);
+    EXPECT_EQ(a.high.actor_grad_norm, b.high.actor_grad_norm);
+    EXPECT_EQ(a.opponent_loss, b.opponent_loss);
+    EXPECT_EQ(a.opponent_updates, 1);
+    EXPECT_EQ(a.opponent_updates, b.opponent_updates);
+  }
+  EXPECT_EQ(agent_params(*serial), agent_params(*split));
+  EXPECT_EQ(serial->opponents().loss_history(), split->opponents().loss_history());
+  EXPECT_TRUE(rng_serial.engine() == rng_split.engine());
+}
+
 // ------------------------------------------------------ BatchedRollout ----
 //
 // Stage 2 collects only through rl::run_episodes with BatchedRollout as the
@@ -491,7 +564,7 @@ TEST(OpponentModel, BatchedRowsMatchPerRowPredictions) {
     const double x = data.uniform(-1.0, 1.0);
     model.observe(0, {x, 0.0, 0.5}, x > 0 ? Option::kLaneChange : Option::kSlowDown);
     model.observe(1, {x, 0.0, 0.5}, x > 0 ? Option::kAccelerate : Option::kKeepLane);
-    model.update_all(data);
+    for (int j = 0; j < model.num_opponents(); ++j) model.update(j, data);
   }
   check_batch_matches("trained");
 }

@@ -2,13 +2,20 @@
 // the shared harness, and sim-to-"real" transfer of trained controllers.
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 
 #include "algos/dqn.h"
 #include "hero/hero_trainer.h"
 #include "nn/serialize.h"
+#include "obs/metrics.h"
 #include "rl/evaluation.h"
+#include "runtime/thread_pool.h"
 #include "sim/scenario.h"
 
 namespace hero {
@@ -220,6 +227,86 @@ TEST(HeroParallel, ResultsInvariantToWorkerCount) {
   const auto r4 = run(4, &p4);
   EXPECT_EQ(r1, r4);
   EXPECT_EQ(p1, p4);
+}
+
+// Pins the calling thread to its first allowed CPU until destroyed.
+class OneCpu {
+ public:
+  OneCpu() {
+    CPU_ZERO(&saved_);
+    EXPECT_EQ(sched_getaffinity(0, sizeof(saved_), &saved_), 0);
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &saved_)) {
+        CPU_SET(c, &one);
+        break;
+      }
+    }
+    EXPECT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  }
+  ~OneCpu() { sched_setaffinity(0, sizeof(saved_), &saved_); }
+  OneCpu(const OneCpu&) = delete;
+  OneCpu& operator=(const OneCpu&) = delete;
+
+ private:
+  cpu_set_t saved_;
+};
+
+TEST(HeroParallel, LearnerFanOutMatchesOneCpuBitwise) {
+  // Stage-2 updates fan out one task per learner on a pool of
+  // min(learners, CPUs in the affinity mask) threads, fixed by the first
+  // update round. A trainer whose first train() call saw one CPU updates
+  // inline; one that saw the host's CPUs fans out. Both must train the same
+  // bits: the width is no determinism key (docs/PARALLELISM.md).
+  struct Run {
+    std::vector<double> rewards;
+    std::string params;
+    std::vector<std::vector<std::vector<double>>> opp_losses;
+    double pool_threads = 0.0;
+  };
+  auto run = [](int batch_envs, bool one_cpu) {
+    Run out;
+    Rng rng(47);
+    auto sc = sim::cooperative_lane_change();
+    auto cfg = fast_hero();
+    cfg.batch_envs = batch_envs;
+    core::HeroTrainer trainer(sc, cfg, rng);
+    auto hook = [&](int, const rl::EpisodeStats& s) { out.rewards.push_back(s.team_reward); };
+    obs::set_metrics_enabled(true);
+    auto& gauge = obs::Registry::instance().gauge("runtime.pool.threads");
+    gauge.reset();
+    {
+      std::optional<OneCpu> pin;
+      if (one_cpu) pin.emplace();
+      trainer.train(8, rng, hook);
+    }
+    trainer.train(4, rng, hook);  // the first call's width holds
+    out.pool_threads = gauge.value();
+    obs::set_metrics_enabled(false);
+    out.params = learner_params(trainer);
+    for (int k = 0; k < trainer.num_agents(); ++k) {
+      out.opp_losses.push_back(trainer.agent(k).opponents().loss_history());
+    }
+    return out;
+  };
+  const std::size_t width =
+      std::min<std::size_t>(3, runtime::affinity_cpus());  // cooperative_lane_change: 3 learners
+  for (int batch_envs : {1, 3}) {
+    SCOPED_TRACE(batch_envs);
+    const Run inline_run = run(batch_envs, /*one_cpu=*/true);
+    const Run pooled = run(batch_envs, /*one_cpu=*/false);
+    EXPECT_EQ(inline_run.pool_threads, 0.0);  // width 1 builds no pool
+    EXPECT_EQ(pooled.pool_threads, width > 1 ? static_cast<double>(width) : 0.0);
+    ASSERT_FALSE(pooled.opp_losses.empty());
+    EXPECT_FALSE(pooled.opp_losses[0][0].empty());  // updates ran
+    EXPECT_EQ(inline_run.rewards, pooled.rewards);
+    EXPECT_EQ(inline_run.params, pooled.params);
+    EXPECT_EQ(inline_run.opp_losses, pooled.opp_losses);
+  }
+  if (runtime::affinity_cpus() < 2) {
+    std::printf("only one CPU: the fan-out ran inline on both sides\n");
+  }
 }
 
 TEST(HeroBatched, SameSeedRunsAreBitwiseIdentical) {

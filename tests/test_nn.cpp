@@ -394,6 +394,21 @@ TEST(Mlp, DimsReported) {
 
 // -------------------------------------------------------- serialization ---
 
+// Every parameter of `a` and `b`, bit for bit.
+void expect_same_params(Mlp& a, Mlp& b) {
+  auto pa = a.params();
+  auto pb = b.params();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (std::size_t t = 0; t < pa.size(); ++t) {
+    ASSERT_EQ(pa[t].value->size(), pb[t].value->size());
+    for (std::size_t i = 0; i < pa[t].value->size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(pa[t].value->data()[i]),
+                std::bit_cast<std::uint64_t>(pb[t].value->data()[i]))
+          << "tensor " << t << " value " << i;
+    }
+  }
+}
+
 TEST(Serialize, RoundTripPreservesOutputs) {
   Rng rng(14);
   Mlp a(4, {8}, 3, rng);
@@ -401,10 +416,9 @@ TEST(Serialize, RoundTripPreservesOutputs) {
   std::stringstream ss;
   save_params(a, ss);
   load_params(b, ss);
+  expect_same_params(a, b);
   const std::vector<double> x = {0.1, -0.2, 0.3, 0.9};
-  auto ya = a.forward1(x);
-  auto yb = b.forward1(x);
-  for (std::size_t i = 0; i < ya.size(); ++i) EXPECT_NEAR(ya[i], yb[i], 1e-12);
+  EXPECT_EQ(a.forward1(x), b.forward1(x));
 }
 
 TEST(Serialize, RejectsArchitectureMismatch) {
@@ -416,11 +430,87 @@ TEST(Serialize, RejectsArchitectureMismatch) {
   EXPECT_THROW(load_params(b, ss), std::runtime_error);
 }
 
+// load_params on `text` throws std::runtime_error naming `fault`.
+void expect_rejected(Mlp& net, const std::string& text, const std::string& fault) {
+  std::stringstream ss(text);
+  try {
+    load_params(net, ss);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(fault), std::string::npos)
+        << "want '" << fault << "', got '" << e.what() << "' for: " << text;
+  }
+}
+
 TEST(Serialize, RejectsGarbage) {
   Rng rng(16);
-  Mlp a(2, {}, 1, rng);
-  std::stringstream ss("not a checkpoint");
-  EXPECT_THROW(load_params(a, ss), std::runtime_error);
+  Mlp a(2, {}, 1, rng);  // one 2×1 weight, one 1×1 bias
+  expect_rejected(a, "not a checkpoint", "not a herockpt v1 stream");
+  expect_rejected(a, "", "not a herockpt v1 stream");
+  expect_rejected(a, "herockpt 2 2\n", "not a herockpt v1 stream");
+  expect_rejected(a, "herockpt 1 3\n", "parameter count mismatch");
+  expect_rejected(a, "herockpt 1 2\n2 2\n0.5 0.5 0.5 0.5\n", "shape mismatch");
+  const std::string head = "herockpt 1 2\n2 1\n";
+  // A malformed token, wherever it stands.
+  expect_rejected(a, head + "1.5x 0.25\n1 1\n0.5\n", "malformed value");
+  expect_rejected(a, head + "0.25 0.5\n1 1\n1.5x\n", "malformed value");
+  expect_rejected(a, head + "0.25 +0.5\n1 1\n0.5\n", "malformed value");
+  expect_rejected(a, "herockpt 1 2\n2 1x\n0.25 0.5\n1 1\n0.5\n", "malformed value");
+  // Non-finite and out-of-range values.
+  expect_rejected(a, head + "nan 0.5\n1 1\n0.5\n", "non-finite value");
+  expect_rejected(a, head + "0.25 -inf\n1 1\n0.5\n", "non-finite value");
+  expect_rejected(a, head + "0.25 0.5\n1 1\ninf\n", "non-finite value");
+  expect_rejected(a, head + "1e999 0.5\n1 1\n0.5\n", "value out of range");
+  // A missing value, and data past the last one.
+  expect_rejected(a, head + "0.25 0.5\n1 1\n", "truncated stream");
+  expect_rejected(a, head + "0.25\n", "truncated stream");
+  expect_rejected(a, head + "0.25 0.5\n1 1\n0.5 0.75\n", "trailing data");
+  // The same values, well formed, load.
+  std::stringstream ok(head + "0.25 0.5\n1 1\n-1e-05\n");
+  load_params(a, ok);
+  EXPECT_EQ(a.params()[0].value->data()[1], 0.5);
+  EXPECT_EQ(a.params()[1].value->data()[0], -1e-05);
+}
+
+// Seeded byte mutants of a real tensor file: each one loads or is rejected
+// with std::runtime_error, never anything else (the sanitizer build runs
+// this too, so a read out of bounds fails it there).
+TEST(Serialize, ByteMutantsLoadOrThrowNamedError) {
+  Rng rng(18);
+  Mlp a(6, {8, 8}, 5, rng);
+  std::stringstream ss;
+  save_params(a, ss);
+  const std::string file = ss.str();
+  const std::string alphabet = "0123456789.-+eE \n\tnaif";  // and any byte below
+  Rng mut(19);
+  int loaded = 0, rejected = 0;
+  for (int m = 0; m < 2000; ++m) {
+    std::string text = file;
+    const int edits = 1 + static_cast<int>(mut.index(3));
+    for (int e = 0; e < edits && !text.empty(); ++e) {
+      const std::size_t at = mut.index(text.size());
+      const char c = alphabet[mut.index(alphabet.size())];
+      switch (mut.index(5)) {
+        case 0: text[at] = c; break;
+        case 1: text.erase(at, 1); break;
+        case 2: text.insert(at, 1, c); break;
+        case 3: text.resize(at); break;
+        default: text[at] = static_cast<char>(mut.index(256)); break;
+      }
+    }
+    Mlp b(6, {8, 8}, 5, rng);
+    std::stringstream in(text);
+    try {
+      load_params(b, in);
+      ++loaded;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("load_params: "), std::string::npos) << e.what();
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(loaded + rejected, 2000);
+  EXPECT_GT(loaded, 0);  // some edits keep a valid file (a digit for a digit)
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(Serialize, FileRoundTrip) {
@@ -431,7 +521,7 @@ TEST(Serialize, FileRoundTrip) {
   save_params_file(a, path);
   Mlp b(3, {4}, 2, rng);
   load_params_file(b, path);
-  EXPECT_NEAR(a.forward1({1, 2, 3})[0], b.forward1({1, 2, 3})[0], 1e-12);
+  expect_same_params(a, b);
   std::filesystem::remove(path);
 }
 

@@ -21,6 +21,7 @@
 #include "obs/json.h"
 #include "obs/obs.h"
 #include "obs/phase.h"
+#include "runtime/thread_pool.h"
 
 namespace hero::obs {
 namespace {
@@ -115,6 +116,25 @@ TEST(PhaseTimer, SameNamePhasesMergeAcrossThreads) {
   const PhaseStat* inner = find_stat(root->children, "pt_xthread_inner");
   ASSERT_NE(inner, nullptr);
   EXPECT_EQ(inner->count, 3u);
+}
+
+TEST(PhaseTimer, PoolTasksNestUnderTheCallersScope) {
+  // A parallel_for task runs inside its submitter's scope path, so the
+  // scopes it opens on a worker merge under the caller's scope.
+  PhaseGuard guard;
+  runtime::ThreadPool pool(2);
+  {
+    OBS_PHASE("pt_pool_outer");
+    pool.parallel_for(4, [](std::size_t) { OBS_PHASE("pt_pool_inner"); });
+  }
+  const auto stats = PhaseRegistry::instance().snapshot();
+  EXPECT_EQ(find_stat(stats, "pt_pool_inner"), nullptr);
+  const PhaseStat* outer = find_stat(stats, "pt_pool_outer");
+  ASSERT_NE(outer, nullptr);
+  EXPECT_EQ(outer->count, 1u);  // the workers' untimed entries add nothing
+  const PhaseStat* inner = find_stat(outer->children, "pt_pool_inner");
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(inner->count, 4u);
 }
 
 TEST(PhaseTimer, JsonExportParsesAndCarriesCounts) {
